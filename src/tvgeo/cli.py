@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,7 +49,13 @@ from .ground_truth import (
     seed_points,
     write_seeds_file,
 )
-from .solver import SolverConfig, infer, read_estimates_file, write_estimates_file
+from .solver import (
+    DescentViolation,
+    SolverConfig,
+    infer,
+    read_estimates_file,
+    write_estimates_file,
+)
 from .synth import SynthConfig, generate, write_synth_files
 
 
@@ -57,9 +64,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    # BrokenExecutor covers the solver's BrokenProcessPool (a worker died).
+    except (ValueError, OSError, DescentViolation, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which a CPU-limited container caps
+    below os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=5)
     p.add_argument("--median-tol", type=float, default=0.01, help="median solver tolerance in km")
     p.add_argument("--median-max-iter", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=_usable_cpus(),
+        help="worker processes; output is byte-identical for any value",
+    )
     p.add_argument("--report", type=Path, help="per-iteration counts CSV (default: OUT.report.csv)")
     p.add_argument(
         "--check-descent",
@@ -131,7 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", type=Path, help="network TSV (required with --sweep)")
     p.add_argument("--train-seeds", type=Path, help="training seeds TSV (required with --sweep)")
     p.add_argument("--iterations", type=int, default=5, help="solver iterations for --sweep runs")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=_usable_cpus(),
+        help="worker processes; output is byte-identical for any value",
+    )
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -10,12 +10,24 @@ variation. A node whose proposal is rejected keeps its previous location and
 dispersion, so the located set only grows and every accepted update descends.
 Seeds never move. Because updates read only the snapshot, the result is
 independent of visit order and worker count.
+
+With threads=N > 1 a round runs in N forked worker processes, not threads
+(the median and Vincenty kernels are pure Python, so threads would serialize
+on the interpreter lock). One pool is built per round, after that round's
+frozen snapshot is in place: the network, the config and the snapshot sit in
+a module-level round context that the workers inherit copy-on-write, so no
+input is serialized. Each worker computes the updates of contiguous chunks of
+candidates and sends back only (user, point, dispersion) triples, gathered in
+candidate order; the acceptance bookkeeping and the optional descent check
+run in the parent. The pool forks all its workers before it starts its own
+manager thread, so the solver forks a process with no other threads unless
+its caller started some. Where the fork start method is unavailable the
+rounds run serially.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -189,6 +201,12 @@ def spatial_label_propagation(
     return infer(network, seeds, cfg, threads=threads)
 
 
+# The round context the forked workers inherit: (candidates, snapshot,
+# network, cfg) while a round's pool is alive, None otherwise. infer is
+# therefore not reentrant across threads of one process when threads > 1.
+_ROUND: tuple | None = None
+
+
 def _round_updates(
     candidates: Sequence[int],
     snapshot: EstimateState,
@@ -198,15 +216,34 @@ def _round_updates(
 ) -> list[tuple[int, GeoPoint, float]]:
     if threads <= 1 or len(candidates) < 64:
         return _updates_for(candidates, snapshot, network, cfg)
+    # Imported here: the process-pool modules add ~2 MB of resident memory
+    # that serial runs never use.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return _updates_for(candidates, snapshot, network, cfg)
     chunk_size = max(1, (len(candidates) + threads * 8 - 1) // (threads * 8))
-    chunks = [
-        candidates[i : i + chunk_size] for i in range(0, len(candidates), chunk_size)
-    ]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(
-            lambda chunk: _updates_for(chunk, snapshot, network, cfg), chunks
-        )
-        return [update for chunk_updates in results for update in chunk_updates]
+    starts = range(0, len(candidates), chunk_size)
+    stops = [start + chunk_size for start in starts]  # slicing clamps the last
+    global _ROUND
+    _ROUND = (candidates, snapshot, network, cfg)
+    try:
+        with ProcessPoolExecutor(
+            min(threads, len(starts)), mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            results = pool.map(_round_chunk, starts, stops)
+            return [update for chunk_updates in results for update in chunk_updates]
+    finally:
+        _ROUND = None
+
+
+def _round_chunk(start: int, stop: int) -> list[tuple[int, GeoPoint, float]]:
+    """Worker entry point: the updates of candidates[start:stop] against the
+    inherited round context. GeoPoint results unpickle through the dataclass
+    __setstate__, so longitudes come back bit-exact, never re-normalized."""
+    candidates, snapshot, network, cfg = _ROUND
+    return _updates_for(candidates[start:stop], snapshot, network, cfg)
 
 
 def _updates_for(

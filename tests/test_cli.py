@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ from tvgeo.cli import main
 from tvgeo.geodesy import GeoPoint, destination
 from tvgeo.graph import read_network_file
 from tvgeo.ground_truth import read_seeds_file
-from tvgeo.solver import read_estimates_file
+from tvgeo import solver
+from tvgeo.solver import DescentViolation, read_estimates_file
 
 NOW = 1_700_000_000.0
 DAY = 86400.0
@@ -27,6 +30,10 @@ def mention_file(tmp_path):
 
 def seeds_line(user, point, source="gps", spread=0.0):
     return f"{user}\t{point.lat!r}\t{point.lon!r}\t{source}\t{spread!r}\n"
+
+
+def _die_in_worker(start, stop):
+    os._exit(1)  # as an OOM-killed worker would
 
 
 class TestIngest:
@@ -188,6 +195,29 @@ class TestInfer:
         m1.pop("created_at"), m2.pop("created_at")
         assert m1 == m2
         assert m1["inputs"]  # digests recorded
+
+    def test_descent_violation_is_an_error_not_a_traceback(
+        self, tmp_path, path_fixture, monkeypatch, capsys
+    ):
+        def violated(user, *args):
+            raise DescentViolation(f"node {user}: variation rose")
+
+        monkeypatch.setattr(solver, "_assert_descent", violated)
+        network, seeds, _ = path_fixture
+        args = ["infer", str(network), str(seeds), "--out", str(tmp_path / "est.tsv")]
+        assert main(args + ["--iterations", "2", "--check-descent", "--threads", "1"]) == 1
+        assert "error: node 2: variation rose" in capsys.readouterr().err
+
+    def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "_round_chunk", _die_in_worker)
+        p = GeoPoint(40.0, -3.0)
+        network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
+        seeds = write(tmp_path / "seeds.tsv", seeds_line(1, p))
+        out = tmp_path / "est.tsv"
+        assert main(["infer", str(network), str(seeds), "--out", str(out), "--threads", "2"]) == 1
+        assert "error: A process in the process pool was terminated" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert solver._ROUND is None
 
 
 class TestSynthCommand:

@@ -1,10 +1,13 @@
 import io
 import math
+import multiprocessing
+import os
 import random
 
 import pytest
 
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
+from tvgeo import solver
 from tvgeo.graph import SocialNetwork
 from tvgeo.robust_stats import WeightedPointSet, weighted_distance_sum
 from tvgeo.solver import (
@@ -233,6 +236,33 @@ class TestInfer:
         rng = random.Random(408)
         net, seeds = random_city_fixture(rng)
         infer(net, seeds, SolverConfig(iterations=4), check_descent=True)
+
+    def test_descent_assertion_passes_with_worker_processes(self):
+        # The check runs in the parent on the gathered updates; 120 users
+        # keep the round above the serial cut-off.
+        rng = random.Random(408)
+        net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
+        infer(net, seeds, SolverConfig(iterations=4), threads=2, check_descent=True)
+
+    def test_worker_pool_is_gone_after_return(self):
+        rng = random.Random(410)
+        net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
+        infer(net, seeds, SolverConfig(iterations=2), threads=4)
+        assert multiprocessing.active_children() == []
+        assert solver._ROUND is None
+
+    def test_worker_pool_is_gone_after_a_worker_raises(self, monkeypatch):
+        def failing_update(*args):
+            raise RuntimeError(os.getpid())
+
+        monkeypatch.setattr(solver, "node_update", failing_update)
+        rng = random.Random(410)
+        net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
+        with pytest.raises(RuntimeError) as raised:
+            infer(net, seeds, SolverConfig(iterations=2), threads=4)
+        assert raised.value.args[0] != os.getpid()  # raised in a worker
+        assert multiprocessing.active_children() == []
+        assert solver._ROUND is None
 
     def test_isolated_seed_passes_through(self):
         net = SocialNetwork.from_edges([(1, 2, 1)])
