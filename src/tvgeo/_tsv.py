@@ -10,6 +10,8 @@ import re
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
+from .geodesy import GeoPoint
+
 FORMAT_VERSION = 1
 
 _FORMAT_RE = re.compile(r"#\s*format:\s*v(\d+)\s*$")
@@ -50,6 +52,15 @@ def parse_float(value: str, path: str | Path, lineno: int, what: str) -> float:
         return float(value)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: bad {what} {value!r}") from None
+
+
+def parse_point(lat: str, lon: str, path: str | Path, lineno: int) -> GeoPoint:
+    point_lat = parse_float(lat, path, lineno, "latitude")
+    point_lon = parse_float(lon, path, lineno, "longitude")
+    try:
+        return GeoPoint(point_lat, point_lon)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def require_fields(

@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import replace
@@ -52,6 +51,7 @@ from .ground_truth import (
 from .solver import (
     DescentViolation,
     SolverConfig,
+    _usable_cpus,
     infer,
     read_estimates_file,
     write_estimates_file,
@@ -68,15 +68,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, DescentViolation, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, which a CPU-limited container caps
-    below os.cpu_count()."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from statistics import fmean, median as _scalar_median
 from typing import Mapping, Sequence, TextIO, TypeVar
 
 from . import _tsv
-from .geodesy import GeoPoint, geodesic_distance
+from .geodesy import GeoPoint, _unit_vector, geodesic_distance
 from .graph import SocialNetwork
 from .solver import EstimateState, SolverConfig, infer
 
@@ -80,10 +80,9 @@ class CityTable:
         entries = []
         for lineno, fields in _tsv.iter_rows(path):
             _tsv.require_fields(fields, 4, path, lineno)
-            lat = _tsv.parse_float(fields[1], path, lineno, "latitude")
-            lon = _tsv.parse_float(fields[2], path, lineno, "longitude")
+            point = _tsv.parse_point(fields[1], fields[2], path, lineno)
             pop = _tsv.parse_int(fields[3], path, lineno, "population")
-            entries.append(CityEntry(fields[0], GeoPoint(lat, lon), pop))
+            entries.append(CityEntry(fields[0], point, pop))
         return cls(tuple(entries))
 
     def write_tsv(self, fh: TextIO) -> None:
@@ -218,12 +217,6 @@ def error_histogram(
     return counts
 
 
-def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
-    lat = math.radians(p.lat)
-    lon = math.radians(p.lon)
-    return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
-
-
 def _nearest_city(
     vectors: list[tuple[tuple[float, float, float], CityEntry]], point: GeoPoint
 ) -> str:
@@ -308,9 +301,8 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
                 f"{path}:{lineno}: expected 3 (truth) or 5 (seeds) fields, got {len(fields)}"
             )
         user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        lat = _tsv.parse_float(fields[1], path, lineno, "latitude")
-        lon = _tsv.parse_float(fields[2], path, lineno, "longitude")
+        point = _tsv.parse_point(fields[1], fields[2], path, lineno)
         if user in truth:
             raise ValueError(f"{path}:{lineno}: duplicate truth for user {user}")
-        truth[user] = GeoPoint(lat, lon)
+        truth[user] = point
     return truth

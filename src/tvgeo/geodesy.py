@@ -152,6 +152,13 @@ def _haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * MEAN_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
+def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
+    """p as a point (x, y, z) on the unit sphere."""
+    lat = math.radians(p.lat)
+    lon = math.radians(p.lon)
+    return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+
+
 def destination(start: GeoPoint, bearing_deg: float, distance_km: float) -> GeoPoint:
     """Point reached from start after distance_km along the geodesic with the
     given initial bearing (Vincenty's direct method)."""

@@ -97,12 +97,11 @@ class Gazetteer:
         entries: dict[str, GeoPoint] = {}
         for lineno, fields in _tsv.iter_rows(path):
             _tsv.require_fields(fields, 3, path, lineno)
-            lat = _tsv.parse_float(fields[1], path, lineno, "latitude")
-            lon = _tsv.parse_float(fields[2], path, lineno, "longitude")
+            point = _tsv.parse_point(fields[1], fields[2], path, lineno)
             key = normalize_place(fields[0])
             if key in entries:
                 raise ValueError(f"{path}:{lineno}: ambiguous gazetteer name {key!r}")
-            entries[key] = GeoPoint(lat, lon)
+            entries[key] = point
         return cls(entries)
 
     def lookup(self, text: str) -> GeoPoint | None:
@@ -254,10 +253,9 @@ def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
     for lineno, fields in _tsv.iter_rows(path):
         _tsv.require_fields(fields, 4, path, lineno)
         user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        lat = _tsv.parse_float(fields[1], path, lineno, "latitude")
-        lon = _tsv.parse_float(fields[2], path, lineno, "longitude")
+        point = _tsv.parse_point(fields[1], fields[2], path, lineno)
         ts = _tsv.parse_float(fields[3], path, lineno, "timestamp")
-        events.append(GpsEvent(user, GeoPoint(lat, lon), ts))
+        events.append(GpsEvent(user, point, ts))
     return events
 
 
@@ -290,11 +288,13 @@ def read_seeds_file(path: str | Path) -> dict[int, GroundTruthRecord]:
     for lineno, fields in _tsv.iter_rows(path):
         _tsv.require_fields(fields, 5, path, lineno)
         user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        lat = _tsv.parse_float(fields[1], path, lineno, "latitude")
-        lon = _tsv.parse_float(fields[2], path, lineno, "longitude")
+        point = _tsv.parse_point(fields[1], fields[2], path, lineno)
         source = fields[3]
         spread = _tsv.parse_float(fields[4], path, lineno, "spread_km")
         if user in seeds:
             raise ValueError(f"{path}:{lineno}: duplicate seed for user {user}")
-        seeds[user] = GroundTruthRecord(user, GeoPoint(lat, lon), source, spread)
+        try:
+            seeds[user] = GroundTruthRecord(user, point, source, spread)
+        except ValueError as exc:  # unknown source or bad spread
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return seeds

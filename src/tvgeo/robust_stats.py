@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from statistics import median as _scalar_median
 from typing import Iterable, Sequence
 
-from .geodesy import MEAN_RADIUS_KM, GeoPoint, geodesic_distance
+from .geodesy import MEAN_RADIUS_KM, GeoPoint, _unit_vector, geodesic_distance
 
 DEFAULT_TOL_KM = 0.01
 DEFAULT_MAX_ITER = 1000
@@ -181,12 +181,6 @@ def mad_spread(points: Sequence[GeoPoint]) -> float:
     """Median distance of the points from their own geodesic l1-median."""
     s = WeightedPointSet.unweighted(points)
     return dispersion(geodesic_l1_median(s), s)
-
-
-def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
-    lat = math.radians(p.lat)
-    lon = math.radians(p.lon)
-    return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
 
 
 def _unproject(sin0: float, cos0: float, lon0: float, x: float, y: float) -> GeoPoint:

@@ -11,25 +11,28 @@ dispersion, so the located set only grows and every accepted update descends.
 Seeds never move. Because updates read only the snapshot, the result is
 independent of visit order and worker count.
 
-With threads=N > 1 a round runs in N forked worker processes, not threads
+With threads=N > 1 a round runs in forked worker processes, not threads
 (the median and Vincenty kernels are pure Python, so threads would serialize
 on the interpreter lock). One pool is built per round, after that round's
 frozen snapshot is in place: the network, the config and the snapshot sit in
 a module-level round context that the workers inherit copy-on-write, so no
 input is serialized. Each worker computes the updates of contiguous chunks of
 candidates and sends back only (user, point, dispersion) triples, gathered in
-candidate order; the acceptance bookkeeping and the optional descent check
-run in the parent. The pool forks all its workers before it starts its own
-manager thread, so the solver forks a process with no other threads unless
-its caller started some. Where the fork start method is unavailable the
-rounds run serially.
+candidate order. The optional descent check runs in node_update, in the
+workers, and costs one more variation sum per located node that moved within
+the median tolerance. The pool has no more workers than usable CPUs and forks
+them all before it starts its own manager thread, so the solver forks a
+process with no other threads unless its caller started some. Where the fork
+start method is unavailable the rounds run serially.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from statistics import median
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from . import _tsv
@@ -104,11 +107,16 @@ def nodal_variation(
 
 
 def node_update(
-    i: int, state: EstimateState, network: SocialNetwork, cfg: SolverConfig
+    i: int,
+    state: EstimateState,
+    network: SocialNetwork,
+    cfg: SolverConfig,
+    check_descent: bool = False,
 ) -> tuple[GeoPoint, float] | None:
     """Candidate location and dispersion for non-seed node i against the
-    iteration-k snapshot, or None when i has no located neighbors or the
-    candidate's dispersion exceeds gamma."""
+    iteration-k snapshot, or None when i has no located neighbors, the
+    candidate's dispersion exceeds gamma, or the candidate would increase the
+    variation of a located i. check_descent: as for infer."""
     points: list[GeoPoint] = []
     weights: list[float] = []
     located = state.located
@@ -123,10 +131,35 @@ def node_update(
     candidate = geodesic_l1_median(
         neighbor_set, tol_km=cfg.median_tol_km, max_iter=cfg.median_max_iter
     )
-    disp = dispersion(candidate, neighbor_set)
-    if disp <= cfg.gamma_km:
+    distances = [geodesic_distance(candidate, p) for p in points]
+    disp = median(distances)
+    if disp > cfg.gamma_km:
+        return None
+    previous = located.get(i)
+    if previous is None:
         return candidate, disp
-    return None
+    moved = geodesic_distance(previous.point, candidate) > cfg.median_tol_km
+    if not (moved or check_descent):
+        # A move within the median tolerance satisfies the descent bound by
+        # the 1-Lipschitz property; check_descent verifies that claim.
+        return candidate, disp
+    variation = 0.0
+    for weight, distance in zip(weights, distances):
+        variation += weight * distance  # nodal_variation's order and rounding
+    old_variation = nodal_variation(i, previous.point, state, network)
+    if moved and variation > old_variation:
+        # Hemisphere-spanning neighbor sets make the median fall back to the
+        # medoid, which can regress past the refined previous location; a
+        # non-improving candidate is a no-update.
+        return None
+    if check_descent:
+        slack = cfg.median_tol_km * sum(weights)
+        if variation > old_variation + slack:
+            raise DescentViolation(
+                f"node {i}: variation rose from {old_variation:.6f} to "
+                f"{variation:.6f} km (allowed slack {slack:.6f} km)"
+            )
+    return candidate, disp
 
 
 def infer(
@@ -161,7 +194,7 @@ def infer(
     iteration_done = 0
     for k in range(1, cfg.iterations + 1):
         snapshot = EstimateState(located, k - 1)
-        updates = _round_updates(candidates, snapshot, network, cfg, threads)
+        updates = _round_updates(candidates, snapshot, network, cfg, threads, check_descent)
 
         next_located = dict(located)
         newly = 0
@@ -173,8 +206,6 @@ def infer(
                 newly += 1
             else:
                 first = previous.first_located_iteration
-                if check_descent:
-                    _assert_descent(user, previous.point, point, snapshot, network, cfg)
             estimate = LocationEstimate(user, point, disp, SOURCE_INFERRED, first)
             if previous != estimate:
                 changed = True
@@ -201,9 +232,16 @@ def spatial_label_propagation(
     return infer(network, seeds, cfg, threads=threads)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, often fewer than os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # The round context the forked workers inherit: (candidates, snapshot,
-# network, cfg) while a round's pool is alive, None otherwise. infer is
-# therefore not reentrant across threads of one process when threads > 1.
+# network, cfg, check_descent) while a round's pool is alive, None otherwise;
+# infer is not reentrant across threads of one process when threads > 1.
 _ROUND: tuple | None = None
 
 
@@ -213,24 +251,27 @@ def _round_updates(
     network: SocialNetwork,
     cfg: SolverConfig,
     threads: int,
+    check_descent: bool,
 ) -> list[tuple[int, GeoPoint, float]]:
     if threads <= 1 or len(candidates) < 64:
-        return _updates_for(candidates, snapshot, network, cfg)
+        return _updates_for(candidates, snapshot, network, cfg, check_descent)
     # Imported here: the process-pool modules add ~2 MB of resident memory
     # that serial runs never use.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return _updates_for(candidates, snapshot, network, cfg)
+        return _updates_for(candidates, snapshot, network, cfg, check_descent)
+    # Chunks follow the requested worker count; only the pool is capped.
     chunk_size = max(1, (len(candidates) + threads * 8 - 1) // (threads * 8))
     starts = range(0, len(candidates), chunk_size)
     stops = [start + chunk_size for start in starts]  # slicing clamps the last
+    workers = min(threads, _usable_cpus(), len(starts))
     global _ROUND
-    _ROUND = (candidates, snapshot, network, cfg)
+    _ROUND = (candidates, snapshot, network, cfg, check_descent)
     try:
         with ProcessPoolExecutor(
-            min(threads, len(starts)), mp_context=multiprocessing.get_context("fork")
+            workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
             results = pool.map(_round_chunk, starts, stops)
             return [update for chunk_updates in results for update in chunk_updates]
@@ -242,8 +283,8 @@ def _round_chunk(start: int, stop: int) -> list[tuple[int, GeoPoint, float]]:
     """Worker entry point: the updates of candidates[start:stop] against the
     inherited round context. GeoPoint results unpickle through the dataclass
     __setstate__, so longitudes come back bit-exact, never re-normalized."""
-    candidates, snapshot, network, cfg = _ROUND
-    return _updates_for(candidates[start:stop], snapshot, network, cfg)
+    candidates, snapshot, network, cfg, check_descent = _ROUND
+    return _updates_for(candidates[start:stop], snapshot, network, cfg, check_descent)
 
 
 def _updates_for(
@@ -251,50 +292,14 @@ def _updates_for(
     snapshot: EstimateState,
     network: SocialNetwork,
     cfg: SolverConfig,
+    check_descent: bool,
 ) -> list[tuple[int, GeoPoint, float]]:
-    located = snapshot.located
     out = []
     for node in nodes:
-        update = node_update(node, snapshot, network, cfg)
-        if update is None:
-            continue
-        point, disp = update
-        previous = located.get(node)
-        if previous is not None and geodesic_distance(previous.point, point) > cfg.median_tol_km:
-            # Hemisphere-spanning neighbor sets make the median fall back to
-            # the medoid, which can regress past the refined previous
-            # location; a non-improving candidate is a no-update. Moves
-            # within the median tolerance satisfy the descent bound by the
-            # 1-Lipschitz property and skip the extra distance sums.
-            new_var = nodal_variation(node, point, snapshot, network)
-            old_var = nodal_variation(node, previous.point, snapshot, network)
-            if new_var is not None and old_var is not None and new_var > old_var:
-                continue
-        out.append((node, point, disp))
+        update = node_update(node, snapshot, network, cfg, check_descent)
+        if update is not None:
+            out.append((node, *update))
     return out
-
-
-def _assert_descent(
-    user: int,
-    old_point: GeoPoint,
-    new_point: GeoPoint,
-    snapshot: EstimateState,
-    network: SocialNetwork,
-    cfg: SolverConfig,
-) -> None:
-    new_var = nodal_variation(user, new_point, snapshot, network)
-    old_var = nodal_variation(user, old_point, snapshot, network)
-    if new_var is None or old_var is None:
-        return
-    weight_sum = sum(
-        w for j, w in network.neighbors(user) if j in snapshot.located
-    )
-    slack = cfg.median_tol_km * weight_sum
-    if new_var > old_var + slack:
-        raise DescentViolation(
-            f"node {user}: variation rose from {old_var:.6f} to {new_var:.6f} km "
-            f"(allowed slack {slack:.6f} km)"
-        )
 
 
 def _with_seed_dispersions(
@@ -349,8 +354,7 @@ def read_estimates_file(path: str | Path) -> EstimateState:
     for lineno, fields in _tsv.iter_rows(path):
         _tsv.require_fields(fields, 6, path, lineno)
         user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        lat = _tsv.parse_float(fields[1], path, lineno, "latitude")
-        lon = _tsv.parse_float(fields[2], path, lineno, "longitude")
+        point = _tsv.parse_point(fields[1], fields[2], path, lineno)
         disp = _tsv.parse_float(fields[3], path, lineno, "dispersion_km")
         source = fields[4]
         if source not in (SOURCE_SEED, SOURCE_INFERRED):
@@ -358,6 +362,6 @@ def read_estimates_file(path: str | Path) -> EstimateState:
         first = _tsv.parse_int(fields[5], path, lineno, "first_located_iteration")
         if user in located:
             raise ValueError(f"{path}:{lineno}: duplicate estimate for user {user}")
-        located[user] = LocationEstimate(user, GeoPoint(lat, lon), disp, source, first)
+        located[user] = LocationEstimate(user, point, disp, source, first)
         max_iteration = max(max_iteration, first)
     return EstimateState(located, max_iteration)

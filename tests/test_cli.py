@@ -12,7 +12,7 @@ from tvgeo.geodesy import GeoPoint, destination
 from tvgeo.graph import read_network_file
 from tvgeo.ground_truth import read_seeds_file
 from tvgeo import solver
-from tvgeo.solver import DescentViolation, read_estimates_file
+from tvgeo.solver import read_estimates_file
 
 NOW = 1_700_000_000.0
 DAY = 86400.0
@@ -197,16 +197,34 @@ class TestInfer:
         assert m1["inputs"]  # digests recorded
 
     def test_descent_violation_is_an_error_not_a_traceback(
-        self, tmp_path, path_fixture, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
-        def violated(user, *args):
-            raise DescentViolation(f"node {user}: variation rose")
+        # Round 2 re-proposes every node's own point, so the check compares
+        # the candidate's variation (0) with a previous variation that the
+        # workers, and only they, read as -1 km.
+        parent, real_variation = os.getpid(), solver.nodal_variation
 
-        monkeypatch.setattr(solver, "_assert_descent", violated)
-        network, seeds, _ = path_fixture
+        def lower_in_workers(*args):
+            return -1.0 if os.getpid() != parent else real_variation(*args)
+
+        monkeypatch.setattr(solver, "nodal_variation", lower_in_workers)
+        network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
+        seeds = write(tmp_path / "seeds.tsv", seeds_line(1, GeoPoint(40.0, -3.0)))
         args = ["infer", str(network), str(seeds), "--out", str(tmp_path / "est.tsv")]
-        assert main(args + ["--iterations", "2", "--check-descent", "--threads", "1"]) == 1
-        assert "error: node 2: variation rose" in capsys.readouterr().err
+        assert main(args + ["--iterations", "2", "--check-descent", "--threads", "2"]) == 1
+        assert "error: node 2: variation rose from -1.000000 to 0.000000 km" in (
+            capsys.readouterr().err
+        )
+        assert multiprocessing.active_children() == []
+        assert solver._ROUND is None
+
+    def test_out_of_range_seed_latitude_names_the_line(self, tmp_path, path_fixture, capsys):
+        network, _, p = path_fixture
+        seeds = write(tmp_path / "bad.tsv", seeds_line(1, p) + "3\t91.0\t-3.0\tgps\t0.0\n")
+        out = tmp_path / "est.tsv"
+        assert main(["infer", str(network), str(seeds), "--out", str(out)]) == 1
+        assert f"error: {seeds}:2: latitude 91.0 outside [-90, 90]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(solver, "_round_chunk", _die_in_worker)

@@ -126,6 +126,29 @@ class TestNodeUpdate:
         net = SocialNetwork.from_edges([(1, 2, 1)])
         assert node_update(1, state_of({}), net, SolverConfig()) is None
 
+    def test_medoid_that_raises_the_variation_is_rejected(self):
+        # A square of heavy neighbors at 45N plus one light neighbor near the
+        # south pole spans more than a hemisphere, so the median falls back
+        # to the medoid, a square corner. The pole, node 1's previous point,
+        # has the lower weighted variation.
+        pole = GeoPoint(90.0, 0.0)
+        square = [GeoPoint(45.0, lon) for lon in (0.0, 90.0, 180.0, -90.0)]
+        net = SocialNetwork.from_edges(
+            [(1, j, 3) for j in (2, 3, 4, 5)] + [(1, 6, 1)]
+        )
+        neighbors = {**dict(zip((2, 3, 4, 5), square)), 6: GeoPoint(-80.0, 0.0)}
+        state = state_of({1: pole, **neighbors})
+        cfg = SolverConfig(gamma_km=math.inf)
+        medoid = solver.geodesic_l1_median(
+            WeightedPointSet(tuple(neighbors.values()), (3.0, 3.0, 3.0, 3.0, 1.0))
+        )
+        assert medoid in square
+        assert nodal_variation(1, medoid, state, net) > nodal_variation(1, pole, state, net)
+        assert node_update(1, state, net, cfg) is None
+        assert node_update(1, state, net, cfg, check_descent=True) is None
+        # Located at the medoid itself, the node keeps it.
+        assert node_update(1, state_of({1: medoid, **neighbors}), net, cfg) is not None
+
 
 class TestInfer:
     def test_path_between_two_seeds(self):
@@ -238,8 +261,8 @@ class TestInfer:
         infer(net, seeds, SolverConfig(iterations=4), check_descent=True)
 
     def test_descent_assertion_passes_with_worker_processes(self):
-        # The check runs in the parent on the gathered updates; 120 users
-        # keep the round above the serial cut-off.
+        # The check runs in the workers; 120 users keep the round above the
+        # serial cut-off.
         rng = random.Random(408)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         infer(net, seeds, SolverConfig(iterations=4), threads=2, check_descent=True)
@@ -250,6 +273,25 @@ class TestInfer:
         infer(net, seeds, SolverConfig(iterations=2), threads=4)
         assert multiprocessing.active_children() == []
         assert solver._ROUND is None
+
+    def test_worker_pool_is_capped_at_usable_cpus(self, monkeypatch):
+        import concurrent.futures
+
+        pool_sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        rng = random.Random(410)
+        net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
+        capped, _ = infer(net, seeds, SolverConfig(iterations=2), threads=16)
+        serial, _ = infer(net, seeds, SolverConfig(iterations=2))
+        assert pool_sizes == [2, 2]
+        assert estimates_text(capped) == estimates_text(serial)
 
     def test_worker_pool_is_gone_after_a_worker_raises(self, monkeypatch):
         def failing_update(*args):

@@ -1,0 +1,27 @@
+import pytest
+
+from tvgeo.evaluation import CityTable, read_truth_file
+from tvgeo.ground_truth import Gazetteer, read_gps_events_file, read_seeds_file
+from tvgeo.solver import read_estimates_file
+
+OUT_OF_RANGE = "latitude 91.0 outside [-90, 90]"
+
+
+@pytest.mark.parametrize(
+    "reader, row, message",
+    [
+        (CityTable.from_tsv, "Paris\t91.0\t2.35\t100000", OUT_OF_RANGE),
+        (read_truth_file, "1\t91.0\t2.35", OUT_OF_RANGE),
+        (Gazetteer.from_tsv, "paris\t91.0\t2.35", OUT_OF_RANGE),
+        (read_gps_events_file, "1\t91.0\t2.35\t1700000000.0", OUT_OF_RANGE),
+        (read_seeds_file, "1\t91.0\t2.35\tgps\t0.0", OUT_OF_RANGE),
+        (read_seeds_file, "1\t48.85\t2.35\toracle\t0.0", "unknown seed source 'oracle'"),
+        (read_estimates_file, "1\t91.0\t2.35\t0.0\tseed\t0", OUT_OF_RANGE),
+    ],
+)
+def test_point_errors_carry_path_and_line(tmp_path, reader, row, message):
+    path = tmp_path / "rows.tsv"
+    path.write_text(f"# format: v1\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        reader(path)
+    assert str(raised.value) == f"{path}:2: {message}"
