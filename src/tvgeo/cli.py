@@ -140,7 +140,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--cities", type=Path, help="city table TSV for city accuracy")
     p.add_argument("--min-pop", type=int, default=5000)
-    p.add_argument("--sweep", help="comma-separated gamma values (km); reruns the solver per value")
+    p.add_argument(
+        "--sweep",
+        help="comma-separated gamma values (km); reruns the solver per value "
+        "with the default median tolerance and iteration cap",
+    )
     p.add_argument("--network", type=Path, help="network TSV (required with --sweep)")
     p.add_argument("--train-seeds", type=Path, help="training seeds TSV (required with --sweep)")
     p.add_argument("--iterations", type=int, default=5, help="solver iterations for --sweep runs")

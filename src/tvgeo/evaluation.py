@@ -176,20 +176,14 @@ def gamma_sweep(
     iterations: int,
     *,
     threads: int = 1,
-    median_tol_km: float = 0.01,
-    median_max_iter: int = 1000,
 ) -> list[SweepRow]:
-    """One full solver run per gamma, evaluated against the test set."""
+    """One full solver run per gamma, evaluated against the test set. The
+    runs use the SolverConfig default median tolerance and iteration cap."""
     if not gammas:
         raise ValueError("gamma list must not be empty")
     rows = []
     for gamma in gammas:
-        cfg = SolverConfig(
-            gamma_km=gamma,
-            iterations=iterations,
-            median_tol_km=median_tol_km,
-            median_max_iter=median_max_iter,
-        )
+        cfg = SolverConfig(gamma_km=gamma, iterations=iterations)
         state, _ = infer(network, train, cfg, threads=threads)
         report = evaluate(state, test)
         rows.append(SweepRow(gamma, report.coverage, report.median_error_km, report.mean_error_km))

@@ -51,35 +51,34 @@ class IngestReport:
 class SocialNetwork:
     """Immutable undirected weighted graph.
 
-    The adjacency index is the symmetric closure of the edge set, built once
-    at construction and sorted by neighbor id, so the finished network can be
-    shared across workers without synchronization.
+    The only index is the adjacency: each node maps to its (neighbor, weight)
+    pairs sorted by neighbor id, and every edge is listed under both of its
+    endpoints. Nodes, edges and equality are derived from it. It is built
+    once at construction, so the finished network can be shared across
+    workers without synchronization.
     """
 
-    __slots__ = ("_edges", "_adjacency", "_nodes")
+    __slots__ = ("_adjacency", "_num_edges")
 
     def __init__(self, edges: Mapping[tuple[int, int], int]):
-        canonical: dict[tuple[int, int], int] = {}
+        adjacency: dict[int, list[tuple[int, int]]] = {}
         for (u, v), w in edges.items():
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in canonical:
-                raise ValueError(f"duplicate edge ({u}, {v})")
             w = int(w)
             if w < 1:
-                raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-            canonical[(u, v)] = w
-        self._edges: dict[tuple[int, int], int] = dict(sorted(canonical.items()))
-        adjacency: dict[int, list[tuple[int, int]]] = {}
-        for (u, v), w in self._edges.items():
+                raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) has non-positive weight {w}")
             adjacency.setdefault(u, []).append((v, w))
             adjacency.setdefault(v, []).append((u, w))
-        self._adjacency: dict[int, tuple[tuple[int, int], ...]] = {
-            node: tuple(sorted(neighbors)) for node, neighbors in sorted(adjacency.items())
-        }
-        self._nodes: tuple[int, ...] = tuple(self._adjacency)
+        self._adjacency: dict[int, tuple[tuple[int, int], ...]] = {}
+        for node in sorted(adjacency):
+            neighbors = sorted(adjacency.pop(node))
+            # An edge given in both orientations leaves one neighbor twice.
+            for (a, _), (b, _) in zip(neighbors, neighbors[1:]):
+                if a == b:
+                    raise ValueError(f"duplicate edge ({min(node, a)}, {max(node, a)})")
+            self._adjacency[node] = tuple(neighbors)
+        self._num_edges = sum(map(len, self._adjacency.values())) // 2
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "SocialNetwork":
@@ -91,14 +90,18 @@ class SocialNetwork:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return self._num_edges
 
     def nodes(self) -> tuple[int, ...]:
-        return self._nodes
+        """Node ids in ascending order."""
+        return tuple(self._adjacency)
 
     def edges(self) -> Iterator[WeightedEdge]:
-        for (u, v), w in self._edges.items():
-            yield WeightedEdge(u, v, w)
+        """Each edge once, as u < v, in lexicographic (u, v) order."""
+        for u, neighbors in self._adjacency.items():
+            for v, w in neighbors:
+                if v > u:
+                    yield WeightedEdge(u, v, w)
 
     def neighbors(self, u: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, weight) pairs of u, sorted by neighbor id; empty for
@@ -116,7 +119,7 @@ class SocialNetwork:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SocialNetwork):
             return NotImplemented
-        return self._edges == other._edges
+        return self._adjacency == other._adjacency
 
     def __repr__(self) -> str:
         return f"SocialNetwork(nodes={self.num_nodes}, edges={self.num_edges})"

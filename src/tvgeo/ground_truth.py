@@ -239,8 +239,8 @@ def seed_points(seeds: Mapping[int, GroundTruthRecord]) -> dict[int, GeoPoint]:
 # --- file formats -----------------------------------------------------------
 #
 # GPS events:      user_id <TAB> lat <TAB> lon <TAB> unix_timestamp
-# Profile claims:  user_id <TAB> observed_at <TAB> raw_text  (text may contain
-#                  spaces but never tabs)
+# Profile claims:  user_id <TAB> observed_at <TAB> raw_text  (the text is
+#                  everything after the second tab, spaces and tabs included)
 # Seeds:           user_id <TAB> lat <TAB> lon <TAB> source <TAB> spread_km
 
 GPS_COLUMNS = ("user_id", "lat", "lon", "unix_timestamp")
@@ -261,18 +261,14 @@ def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
 
 def read_profile_claims_file(path: str | Path) -> list[ProfileClaim]:
     claims = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t", 2)
-            _tsv.require_fields(fields, 3, path, lineno)
-            user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-            observed = _tsv.parse_float(fields[1], path, lineno, "observed_at")
-            if not fields[2].strip():
-                raise ValueError(f"{path}:{lineno}: empty profile text")
-            claims.append(ProfileClaim(user, fields[2], observed))
+    for lineno, fields in _tsv.iter_rows(path):
+        _tsv.require_fields(fields[:3], 3, path, lineno)
+        user = _tsv.parse_int(fields[0], path, lineno, "user_id")
+        observed = _tsv.parse_float(fields[1], path, lineno, "observed_at")
+        text = "\t".join(fields[2:])
+        if not text.strip():
+            raise ValueError(f"{path}:{lineno}: empty profile text")
+        claims.append(ProfileClaim(user, text, observed))
     return claims
 
 

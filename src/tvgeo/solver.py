@@ -169,7 +169,6 @@ def infer(
     *,
     threads: int = 1,
     check_descent: bool = False,
-    stop_when_stable: bool = False,
     _node_order: Sequence[int] | None = None,
 ) -> tuple[EstimateState, list[IterationStats]]:
     """Run the bulk-synchronous solver for cfg.iterations rounds.
@@ -177,8 +176,7 @@ def infer(
     Seeds are fixed for all rounds and may be absent from the network
     (isolated seeds pass through to the output unchanged). check_descent
     raises DescentViolation if an accepted re-update fails the per-node
-    descent bound. stop_when_stable exits early after a round that changes
-    nothing; off by default, matching the fixed-round contract.
+    descent bound.
     """
     cfg = cfg or SolverConfig()
     located: dict[int, LocationEstimate] = {
@@ -191,14 +189,12 @@ def infer(
         candidates = [u for u in _node_order if u not in seeds]
 
     reports: list[IterationStats] = []
-    iteration_done = 0
     for k in range(1, cfg.iterations + 1):
         snapshot = EstimateState(located, k - 1)
         updates = _round_updates(candidates, snapshot, network, cfg, threads, check_descent)
 
         next_located = dict(located)
         newly = 0
-        changed = False
         for user, point, disp in updates:
             previous = located.get(user)
             if previous is None:
@@ -206,18 +202,12 @@ def infer(
                 newly += 1
             else:
                 first = previous.first_located_iteration
-            estimate = LocationEstimate(user, point, disp, SOURCE_INFERRED, first)
-            if previous != estimate:
-                changed = True
-            next_located[user] = estimate
+            next_located[user] = LocationEstimate(user, point, disp, SOURCE_INFERRED, first)
         located = next_located
-        iteration_done = k
         reports.append(IterationStats(k, newly, len(located)))
-        if stop_when_stable and not changed:
-            break
 
     located = _with_seed_dispersions(located, seeds, network)
-    return EstimateState(located, iteration_done), reports
+    return EstimateState(located, cfg.iterations), reports
 
 
 def spatial_label_propagation(

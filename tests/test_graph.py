@@ -107,10 +107,27 @@ class TestSocialNetwork:
         assert star.nodes() == (1, 2, 3, 4)
 
     def test_rejects_duplicate_and_self_edges(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
             SocialNetwork({(1, 2): 1, (2, 1): 2})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(2, 7\)$"):
+            SocialNetwork({(1, 5): 1, (7, 2): 1, (5, 9): 1, (2, 7): 3})
+        with pytest.raises(ValueError, match=r"^self-loop on node 3$"):
             SocialNetwork({(3, 3): 1})
+        with pytest.raises(ValueError, match=r"^edge \(1, 4\) has non-positive weight 0$"):
+            SocialNetwork({(4, 1): 0})
+
+    def test_unsorted_mixed_orientation_input(self):
+        shuffled = {(9, 4): 2, (1, 7): 1, (7, 4): 5, (3, 1): 4, (4, 1): 3, (9, 7): 1}
+        net = SocialNetwork(shuffled)
+        assert [(e.u, e.v, e.weight) for e in net.edges()] == [
+            (1, 3, 4), (1, 4, 3), (1, 7, 1), (4, 7, 5), (4, 9, 2), (7, 9, 1),
+        ]
+        assert net.nodes() == (1, 3, 4, 7, 9)
+        assert net.num_edges == 6
+        assert net.neighbors(4) == ((1, 3), (7, 5), (9, 2))
+        ordered = {(1, 3): 4, (1, 4): 3, (1, 7): 1, (4, 7): 5, (4, 9): 2, (7, 9): 1}
+        assert net == SocialNetwork(ordered)
+        assert net != SocialNetwork.from_edges([(1, 3, 4)])
 
 
 class TestTotalVariation:

@@ -276,6 +276,14 @@ class TestFiles:
         claims = read_profile_claims_file(path)
         assert claims == [ProfileClaim(7, "Malibu, CA  USA", 1000.0)]
 
+    def test_profile_claims_keep_tabs_in_text(self, tmp_path):
+        path = tmp_path / "claims.tsv"
+        path.write_text("8\t1000\tParis\tFrance\n9\t1000\t\t\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"claims\.tsv:2: empty profile text"):
+            read_profile_claims_file(path)
+        path.write_text("8\t1000\tParis\tFrance\n", encoding="utf-8")
+        assert read_profile_claims_file(path) == [ProfileClaim(8, "Paris\tFrance", 1000.0)]
+
     def test_seeds_roundtrip(self, tmp_path):
         seeds = {
             1: GroundTruthRecord(1, HOME, "gps", 1.25),

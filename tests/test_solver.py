@@ -246,15 +246,6 @@ class TestInfer:
         assert estimates_text(slp_state) == estimates_text(big_state)
         assert slp_stats == inf_stats
 
-    def test_early_exit_stops_after_stable_round(self):
-        net = SocialNetwork.from_edges([(1, 2, 1), (2, 3, 1)])
-        seeds = {1: P, 3: P}
-        full, _ = infer(net, seeds, SolverConfig(iterations=10))
-        early, stats = infer(net, seeds, SolverConfig(iterations=10), stop_when_stable=True)
-        assert estimates_text(early) == estimates_text(full)
-        assert early.iteration < 10
-        assert len(stats) == early.iteration
-
     def test_descent_assertion_passes_on_clean_fixture(self):
         rng = random.Random(408)
         net, seeds = random_city_fixture(rng)

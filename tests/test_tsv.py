@@ -1,7 +1,13 @@
 import pytest
 
 from tvgeo.evaluation import CityTable, read_truth_file
-from tvgeo.ground_truth import Gazetteer, read_gps_events_file, read_seeds_file
+from tvgeo.graph import iter_mention_file, read_network_file
+from tvgeo.ground_truth import (
+    Gazetteer,
+    read_gps_events_file,
+    read_profile_claims_file,
+    read_seeds_file,
+)
 from tvgeo.solver import read_estimates_file
 
 OUT_OF_RANGE = "latitude 91.0 outside [-90, 90]"
@@ -25,3 +31,25 @@ def test_point_errors_carry_path_and_line(tmp_path, reader, row, message):
     with pytest.raises(ValueError) as raised:
         reader(path)
     assert str(raised.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize(
+    "reader, row",
+    [
+        (CityTable.from_tsv, "Paris\t48.85\t2.35\t100000"),
+        (read_truth_file, "1\t48.85\t2.35"),
+        (Gazetteer.from_tsv, "paris\t48.85\t2.35"),
+        (read_gps_events_file, "1\t48.85\t2.35\t1700000000.0"),
+        (read_profile_claims_file, "1\t1700000000.0\tParis"),
+        (read_seeds_file, "1\t48.85\t2.35\tgps\t0.0"),
+        (read_estimates_file, "1\t48.85\t2.35\t0.0\tseed\t0"),
+        (lambda path: list(iter_mention_file(path)), "1\t2\t3"),
+        (read_network_file, "1\t2\t3"),
+    ],
+)
+def test_every_reader_rejects_an_unsupported_format_version(tmp_path, reader, row):
+    path = tmp_path / "rows.tsv"
+    path.write_text(f"# format: v2\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        reader(path)
+    assert str(raised.value) == f"{path}:1: unsupported format version v2"
