@@ -49,6 +49,8 @@ from .ground_truth import (
     write_seeds_file,
 )
 from .solver import (
+    DEFAULT_GAMMA_KM,
+    DEFAULT_ITERATIONS,
     DescentViolation,
     SolverConfig,
     _usable_cpus,
@@ -64,9 +66,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # BrokenExecutor covers the solver's BrokenProcessPool (a worker died).
-    except (ValueError, OSError, DescentViolation, BrokenExecutor) as exc:
+    except (ValueError, OSError, DescentViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenExecutor:
+        # A solver worker died. CPython words this in two ways, depending on
+        # whether the pool was still taking work, so the message is fixed.
+        print("error: a solver worker process terminated abruptly", file=sys.stderr)
         return 1
 
 
@@ -102,10 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run the solver")
     p.add_argument("network", type=Path)
     p.add_argument("seeds", type=Path)
-    p.add_argument("--gamma", type=float, default=100.0, help="max ego dispersion in km (inf allowed)")
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--median-tol", type=float, default=0.01, help="median solver tolerance in km")
-    p.add_argument("--median-max-iter", type=int, default=1000)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_KM, help="max ego dispersion in km (inf allowed)")
+    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument(
         "--threads",
         type=int,
@@ -142,12 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-pop", type=int, default=5000)
     p.add_argument(
         "--sweep",
-        help="comma-separated gamma values (km); reruns the solver per value "
-        "with the default median tolerance and iteration cap",
+        help="comma-separated gamma values (km); reruns the solver per value",
     )
     p.add_argument("--network", type=Path, help="network TSV (required with --sweep)")
     p.add_argument("--train-seeds", type=Path, help="training seeds TSV (required with --sweep)")
-    p.add_argument("--iterations", type=int, default=5, help="solver iterations for --sweep runs")
+    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS, help="solver iterations for --sweep runs")
     p.add_argument(
         "--threads",
         type=int,
@@ -235,12 +238,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             "(passed through unchanged)",
             file=sys.stderr,
         )
-    cfg = SolverConfig(
-        gamma_km=args.gamma,
-        iterations=args.iterations,
-        median_tol_km=args.median_tol,
-        median_max_iter=args.median_max_iter,
-    )
+    cfg = SolverConfig(gamma_km=args.gamma, iterations=args.iterations)
     state, stats = infer(
         network, seeds, cfg, threads=args.threads, check_descent=args.check_descent
     )
@@ -262,8 +260,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
                 "seeds": str(args.seeds),
                 "gamma": args.gamma,
                 "iterations": args.iterations,
-                "median_tol": args.median_tol,
-                "median_max_iter": args.median_max_iter,
             },
             [args.network, args.seeds],
         )

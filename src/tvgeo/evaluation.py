@@ -177,8 +177,8 @@ def gamma_sweep(
     *,
     threads: int = 1,
 ) -> list[SweepRow]:
-    """One full solver run per gamma, evaluated against the test set. The
-    runs use the SolverConfig default median tolerance and iteration cap."""
+    """One full solver run of the given iterations per gamma, evaluated
+    against the test set."""
     if not gammas:
         raise ValueError("gamma list must not be empty")
     rows = []

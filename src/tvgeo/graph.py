@@ -82,7 +82,12 @@ class SocialNetwork:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "SocialNetwork":
-        return cls({(u, v): w for u, v, w in edges})
+        mapping: dict[tuple[int, int], int] = {}
+        for u, v, w in edges:
+            if (u, v) in mapping:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+            mapping[u, v] = w
+        return cls(mapping)
 
     @property
     def num_nodes(self) -> int:

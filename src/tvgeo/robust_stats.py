@@ -18,8 +18,9 @@ from typing import Iterable, Sequence
 
 from .geodesy import MEAN_RADIUS_KM, GeoPoint, _unit_vector, geodesic_distance
 
-DEFAULT_TOL_KM = 0.01
-DEFAULT_MAX_ITER = 1000
+# The median's fixed stopping rule; the solver's descent guard reads TOL_KM.
+TOL_KM = 0.01
+MAX_ITER = 1000
 
 # Iterate-to-point coincidence threshold (1 micrometre) and the 1 m nudge used
 # to escape a non-optimal data point.
@@ -72,18 +73,15 @@ def weighted_distance_sum(candidate: GeoPoint, s: WeightedPointSet) -> float:
     )
 
 
-def geodesic_l1_median(
-    s: WeightedPointSet,
-    tol_km: float = DEFAULT_TOL_KM,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GeoPoint:
+def geodesic_l1_median(s: WeightedPointSet) -> GeoPoint:
     """Weighted geodesic l1-median (geometric median) of a point set.
 
-    Returns a point whose weighted distance sum is within tol_km * total
-    weight of the optimum. Degenerate inputs are handled exactly: a single
-    point is returned as-is, and for two points the heavier one (first on
-    ties) is returned, since any point of the connecting geodesic minimizes
-    the two-point objective.
+    Returns a point whose weighted distance sum is within TOL_KM (10 m) *
+    total weight of the optimum; the Weiszfeld iteration stops at a step of
+    at most TOL_KM, or after MAX_ITER (1000) steps at the latest. Degenerate
+    inputs are handled exactly: a single point is returned as-is, and for
+    two points the heavier one (first on ties) is returned, since any point
+    of the connecting geodesic minimizes the two-point objective.
     """
     points = s.points
     weights = s.weights
@@ -112,8 +110,7 @@ def geodesic_l1_median(
     cos_lats = [math.cos(math.radians(p.lat)) for p in points]
     lons_rad = [math.radians(p.lon) for p in points]
 
-    snap_km = max(tol_km, _COINCIDENT_KM)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         lat0 = math.radians(center.lat)
         lon0 = math.radians(center.lon)
         sin0, cos0 = math.sin(lat0), math.cos(lat0)
@@ -133,7 +130,7 @@ def geodesic_l1_median(
             ys.append(y)
             rs.append(math.hypot(x, y))
 
-        near = [j for j in range(len(points)) if rs[j] < snap_km]
+        near = [j for j in range(len(points)) if rs[j] < TOL_KM]
         suppress_stop = False
         if near:
             # Iterate is on (or within tolerance of) a data point. Return
@@ -141,7 +138,7 @@ def geodesic_l1_median(
             # than its weight (first-order optimality); snapping from within
             # tolerance keeps the objective inside the tol * weight budget.
             anchored_weight = sum(weights[j] for j in near)
-            free = [j for j in range(len(points)) if rs[j] >= snap_km]
+            free = [j for j in range(len(points)) if rs[j] >= TOL_KM]
             px = math.fsum(weights[j] * xs[j] / rs[j] for j in free)
             py = math.fsum(weights[j] * ys[j] / rs[j] for j in free)
             pull = math.hypot(px, py)
@@ -164,7 +161,7 @@ def geodesic_l1_median(
         new_y = math.fsum(inv[j] * ys[j] for j in range(len(points))) / total
         move = math.hypot(new_x, new_y)
         center = _unproject(sin0, cos0, lon0, new_x, new_y)
-        if move <= tol_km and not suppress_stop:
+        if move <= TOL_KM and not suppress_stop:
             return center
     return center
 

@@ -20,10 +20,11 @@ input is serialized. Each worker computes the updates of contiguous chunks of
 candidates and sends back only (user, point, dispersion) triples, gathered in
 candidate order. The optional descent check runs in node_update, in the
 workers, and costs one more variation sum per located node that moved within
-the median tolerance. The pool has no more workers than usable CPUs and forks
-them all before it starts its own manager thread, so the solver forks a
-process with no other threads unless its caller started some. Where the fork
-start method is unavailable the rounds run serially.
+the median tolerance. The pool has no more workers than usable CPUs, nor
+than one per 32 candidates, and forks them all before it starts its own
+manager thread, so the solver forks a process with no other threads unless
+its caller started some. A round that would get fewer than two workers, or
+that has no fork start method to use, runs serially.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 from . import _tsv
 from .geodesy import GeoPoint, geodesic_distance
 from .graph import SocialNetwork
-from .robust_stats import WeightedPointSet, dispersion, geodesic_l1_median
+from .robust_stats import TOL_KM, WeightedPointSet, dispersion, geodesic_l1_median
 
 SOURCE_SEED = "seed"
 SOURCE_INFERRED = "inferred"
@@ -51,16 +52,12 @@ DEFAULT_ITERATIONS = 5
 class SolverConfig:
     gamma_km: float = DEFAULT_GAMMA_KM
     iterations: int = DEFAULT_ITERATIONS
-    median_tol_km: float = 0.01
-    median_max_iter: int = 1000
 
     def __post_init__(self) -> None:
         if not self.gamma_km > 0.0:  # +inf is allowed
             raise ValueError(f"gamma must be positive, got {self.gamma_km!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.median_tol_km <= 0.0 or self.median_max_iter < 1:
-            raise ValueError("median solver tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -128,9 +125,7 @@ def node_update(
     if not points:
         return None
     neighbor_set = WeightedPointSet(tuple(points), tuple(weights))
-    candidate = geodesic_l1_median(
-        neighbor_set, tol_km=cfg.median_tol_km, max_iter=cfg.median_max_iter
-    )
+    candidate = geodesic_l1_median(neighbor_set)
     distances = [geodesic_distance(candidate, p) for p in points]
     disp = median(distances)
     if disp > cfg.gamma_km:
@@ -138,7 +133,7 @@ def node_update(
     previous = located.get(i)
     if previous is None:
         return candidate, disp
-    moved = geodesic_distance(previous.point, candidate) > cfg.median_tol_km
+    moved = geodesic_distance(previous.point, candidate) > TOL_KM
     if not (moved or check_descent):
         # A move within the median tolerance satisfies the descent bound by
         # the 1-Lipschitz property; check_descent verifies that claim.
@@ -153,7 +148,7 @@ def node_update(
         # non-improving candidate is a no-update.
         return None
     if check_descent:
-        slack = cfg.median_tol_km * sum(weights)
+        slack = TOL_KM * sum(weights)
         if variation > old_variation + slack:
             raise DescentViolation(
                 f"node {i}: variation rose from {old_variation:.6f} to "
@@ -243,7 +238,10 @@ def _round_updates(
     threads: int,
     check_descent: bool,
 ) -> list[tuple[int, GeoPoint, float]]:
-    if threads <= 1 or len(candidates) < 64:
+    # A worker takes about 8 chunks and at least 32 candidates, so a round of
+    # fewer than 64 candidates runs serially, as does any one-worker pool.
+    workers = min(threads, _usable_cpus(), len(candidates) // 32)
+    if workers < 2:
         return _updates_for(candidates, snapshot, network, cfg, check_descent)
     # Imported here: the process-pool modules add ~2 MB of resident memory
     # that serial runs never use.
@@ -252,11 +250,9 @@ def _round_updates(
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return _updates_for(candidates, snapshot, network, cfg, check_descent)
-    # Chunks follow the requested worker count; only the pool is capped.
-    chunk_size = max(1, (len(candidates) + threads * 8 - 1) // (threads * 8))
+    chunk_size = -(-len(candidates) // (workers * 8))
     starts = range(0, len(candidates), chunk_size)
     stops = [start + chunk_size for start in starts]  # slicing clamps the last
-    workers = min(threads, _usable_cpus(), len(starts))
     global _ROUND
     _ROUND = (candidates, snapshot, network, cfg, check_descent)
     try:

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -11,7 +12,7 @@ from tvgeo.cli import main
 from tvgeo.geodesy import GeoPoint, destination
 from tvgeo.graph import read_network_file
 from tvgeo.ground_truth import read_seeds_file
-from tvgeo import solver
+from tvgeo import cli, solver
 from tvgeo.solver import read_estimates_file
 
 NOW = 1_700_000_000.0
@@ -208,6 +209,7 @@ class TestInfer:
             return -1.0 if os.getpid() != parent else real_variation(*args)
 
         monkeypatch.setattr(solver, "nodal_variation", lower_in_workers)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)  # a pool on any host
         network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
         seeds = write(tmp_path / "seeds.tsv", seeds_line(1, GeoPoint(40.0, -3.0)))
         args = ["infer", str(network), str(seeds), "--out", str(tmp_path / "est.tsv")]
@@ -228,14 +230,51 @@ class TestInfer:
 
     def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(solver, "_round_chunk", _die_in_worker)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)  # a pool on any host
         p = GeoPoint(40.0, -3.0)
         network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
         seeds = write(tmp_path / "seeds.tsv", seeds_line(1, p))
         out = tmp_path / "est.tsv"
         assert main(["infer", str(network), str(seeds), "--out", str(out), "--threads", "2"]) == 1
-        assert "error: A process in the process pool was terminated" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: a solver worker process terminated abruptly\n"
         assert multiprocessing.active_children() == []
         assert solver._ROUND is None
+
+    @pytest.mark.parametrize(
+        "cpython_message",
+        [
+            # The worker died while the pool was still taking work.
+            "A child process terminated abruptly, the process pool is not usable anymore",
+            # The worker died after all work was handed out.
+            "A process in the process pool was terminated abruptly while the future "
+            "was running or pending.",
+        ],
+    )
+    def test_dead_worker_message_is_fixed(
+        self, tmp_path, path_fixture, monkeypatch, capsys, cpython_message
+    ):
+        def broken_infer(*args, **kwargs):
+            raise BrokenProcessPool(cpython_message)
+
+        monkeypatch.setattr(cli, "infer", broken_infer)
+        network, seeds, _ = path_fixture
+        out = tmp_path / "est.tsv"
+        assert main(["infer", str(network), str(seeds), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: a solver worker process terminated abruptly\n"
+        assert not out.exists()
+
+    def test_manifest_records_only_the_solver_parameters(self, tmp_path, path_fixture):
+        network, seeds, _ = path_fixture
+        out = tmp_path / "est.tsv"
+        args = ["infer", str(network), str(seeds), "--out", str(out), "--threads", "1"]
+        assert main(args + ["--gamma", "inf", "--iterations", "3"]) == 0
+        manifest = json.loads((tmp_path / "est.tsv.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["parameters"] == {
+            "network": str(network),
+            "seeds": str(seeds),
+            "gamma": "inf",
+            "iterations": 3,
+        }
 
 
 class TestSynthCommand:

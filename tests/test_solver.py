@@ -251,14 +251,16 @@ class TestInfer:
         net, seeds = random_city_fixture(rng)
         infer(net, seeds, SolverConfig(iterations=4), check_descent=True)
 
-    def test_descent_assertion_passes_with_worker_processes(self):
+    def test_descent_assertion_passes_with_worker_processes(self, monkeypatch):
         # The check runs in the workers; 120 users keep the round above the
         # serial cut-off.
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)  # workers on any host
         rng = random.Random(408)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         infer(net, seeds, SolverConfig(iterations=4), threads=2, check_descent=True)
 
-    def test_worker_pool_is_gone_after_return(self):
+    def test_worker_pool_is_gone_after_return(self, monkeypatch):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)  # workers on any host
         rng = random.Random(410)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         infer(net, seeds, SolverConfig(iterations=2), threads=4)
@@ -284,11 +286,26 @@ class TestInfer:
         assert pool_sizes == [2, 2]
         assert estimates_text(capped) == estimates_text(serial)
 
+    def test_one_usable_cpu_builds_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker pool was built")
+
+        rng = random.Random(410)
+        net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
+        serial, _ = infer(net, seeds, SolverConfig(iterations=2))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+        one_cpu, _ = infer(net, seeds, SolverConfig(iterations=2), threads=4)
+        assert estimates_text(one_cpu) == estimates_text(serial)
+
     def test_worker_pool_is_gone_after_a_worker_raises(self, monkeypatch):
         def failing_update(*args):
             raise RuntimeError(os.getpid())
 
         monkeypatch.setattr(solver, "node_update", failing_update)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)  # workers on any host
         rng = random.Random(410)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         with pytest.raises(RuntimeError) as raised:
