@@ -64,25 +64,34 @@ class CityEntry:
             raise ValueError(f"population must be >= 0, got {self.population}")
 
 
+def _add_city_name(name: str, names: set[str]) -> None:
+    if name in names:
+        raise ValueError(f"duplicate city name {name!r}")
+    names.add(name)
+
+
 @dataclass(frozen=True)
 class CityTable:
     entries: tuple[CityEntry, ...]
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
-        names = [e.name for e in entries]
-        if len(set(names)) != len(names):
-            raise ValueError("city names must be unique")
+        names: set[str] = set()
+        for e in entries:
+            _add_city_name(e.name, names)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "CityTable":
         entries = []
-        for lineno, fields in _tsv.iter_rows(path):
-            _tsv.require_fields(fields, 4, path, lineno)
-            point = _tsv.parse_point(fields[1], fields[2], path, lineno)
-            pop = _tsv.parse_int(fields[3], path, lineno, "population")
-            entries.append(CityEntry(fields[0], point, pop))
+        names: set[str] = set()
+        with _tsv.Rows(path) as rows:
+            for fields in rows:
+                _tsv.require_fields(fields, 4)
+                point = _tsv.parse_point(fields[1], fields[2])
+                pop = _tsv.parse_int(fields[3], "population")
+                _add_city_name(fields[0], names)
+                entries.append(CityEntry(fields[0], point, pop))
         return cls(tuple(entries))
 
     def write_tsv(self, fh: TextIO) -> None:
@@ -289,14 +298,13 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
     """Read user->location truth from either a 3-column truth TSV or a
     5-column seeds TSV (extra columns ignored)."""
     truth: dict[int, GeoPoint] = {}
-    for lineno, fields in _tsv.iter_rows(path):
-        if len(fields) not in (3, 5):
-            raise ValueError(
-                f"{path}:{lineno}: expected 3 (truth) or 5 (seeds) fields, got {len(fields)}"
-            )
-        user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        point = _tsv.parse_point(fields[1], fields[2], path, lineno)
-        if user in truth:
-            raise ValueError(f"{path}:{lineno}: duplicate truth for user {user}")
-        truth[user] = point
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            if len(fields) not in (3, 5):
+                raise ValueError(f"expected 3 (truth) or 5 (seeds) fields, got {len(fields)}")
+            user = _tsv.parse_int(fields[0], "user_id")
+            point = _tsv.parse_point(fields[1], fields[2])
+            if user in truth:
+                raise ValueError(f"duplicate truth for user {user}")
+            truth[user] = point
     return truth

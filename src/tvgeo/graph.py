@@ -61,8 +61,17 @@ class SocialNetwork:
     __slots__ = ("_adjacency", "_num_edges")
 
     def __init__(self, edges: Mapping[tuple[int, int], int]):
+        self._build((u, v, w) for (u, v), w in edges.items())
+
+    @classmethod
+    def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "SocialNetwork":
+        network = cls.__new__(cls)
+        network._build(edges)
+        return network
+
+    def _build(self, edges: Iterable[tuple[int, int, int]]) -> None:
         adjacency: dict[int, list[tuple[int, int]]] = {}
-        for (u, v), w in edges.items():
+        for u, v, w in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             w = int(w)
@@ -79,15 +88,6 @@ class SocialNetwork:
                     raise ValueError(f"duplicate edge ({min(node, a)}, {max(node, a)})")
             self._adjacency[node] = tuple(neighbors)
         self._num_edges = sum(map(len, self._adjacency.values())) // 2
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "SocialNetwork":
-        mapping: dict[tuple[int, int], int] = {}
-        for u, v, w in edges:
-            if (u, v) in mapping:
-                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-            mapping[u, v] = w
-        return cls(mapping)
 
     @property
     def num_nodes(self) -> int:
@@ -194,12 +194,13 @@ NETWORK_COLUMNS = ("u", "v", "weight")
 
 def iter_mention_file(path: str | Path) -> Iterator[tuple[int, int, int]]:
     """Parse a mention TSV; parse failures raise ValueError with path:line."""
-    for lineno, fields in _tsv.iter_rows(path):
-        _tsv.require_fields(fields, 3, path, lineno)
-        src = _tsv.parse_int(fields[0], path, lineno, "src_id")
-        dst = _tsv.parse_int(fields[1], path, lineno, "dst_id")
-        count = _tsv.parse_int(fields[2], path, lineno, "count")
-        yield src, dst, count
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 3)
+            src = _tsv.parse_int(fields[0], "src_id")
+            dst = _tsv.parse_int(fields[1], "dst_id")
+            count = _tsv.parse_int(fields[2], "count")
+            yield src, dst, count
 
 
 def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
@@ -210,17 +211,18 @@ def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
 
 def read_network_file(path: str | Path) -> SocialNetwork:
     edges: dict[tuple[int, int], int] = {}
-    for lineno, fields in _tsv.iter_rows(path):
-        _tsv.require_fields(fields, 3, path, lineno)
-        u = _tsv.parse_int(fields[0], path, lineno, "node id")
-        v = _tsv.parse_int(fields[1], path, lineno, "node id")
-        w = _tsv.parse_int(fields[2], path, lineno, "weight")
-        if u == v:
-            raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            raise ValueError(f"{path}:{lineno}: duplicate edge {key}")
-        if w < 1:
-            raise ValueError(f"{path}:{lineno}: non-positive weight {w}")
-        edges[key] = w
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 3)
+            u = _tsv.parse_int(fields[0], "node id")
+            v = _tsv.parse_int(fields[1], "node id")
+            w = _tsv.parse_int(fields[2], "weight")
+            if u == v:
+                raise ValueError(f"self-loop on node {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise ValueError(f"duplicate edge {key}")
+            if w < 1:
+                raise ValueError(f"non-positive weight {w}")
+            edges[key] = w
     return SocialNetwork(edges)

@@ -46,7 +46,7 @@ class ProfileClaim:
 
     def __post_init__(self) -> None:
         if not self.text.strip():
-            raise ValueError("profile claim text is empty")
+            raise ValueError("empty profile text")
         if not math.isfinite(self.observed_at):
             raise ValueError(f"observed_at must be finite, got {self.observed_at!r}")
 
@@ -82,27 +82,26 @@ class Gazetteer:
     """Exact-match lookup of normalized place names."""
 
     def __init__(self, entries: Mapping[str, GeoPoint]):
-        normalized: dict[str, GeoPoint] = {}
+        self._entries: dict[str, GeoPoint] = {}
         for name, point in entries.items():
-            key = normalize_place(name)
-            if not key:
-                raise ValueError("gazetteer entry with empty name")
-            if key in normalized:
-                raise ValueError(f"ambiguous gazetteer name {key!r}")
-            normalized[key] = point
-        self._entries = normalized
+            self._add(name, point)
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Gazetteer":
-        entries: dict[str, GeoPoint] = {}
-        for lineno, fields in _tsv.iter_rows(path):
-            _tsv.require_fields(fields, 3, path, lineno)
-            point = _tsv.parse_point(fields[1], fields[2], path, lineno)
-            key = normalize_place(fields[0])
-            if key in entries:
-                raise ValueError(f"{path}:{lineno}: ambiguous gazetteer name {key!r}")
-            entries[key] = point
-        return cls(entries)
+        gazetteer = cls({})
+        with _tsv.Rows(path) as rows:
+            for fields in rows:
+                _tsv.require_fields(fields, 3)
+                gazetteer._add(fields[0], _tsv.parse_point(fields[1], fields[2]))
+        return gazetteer
+
+    def _add(self, name: str, point: GeoPoint) -> None:
+        key = normalize_place(name)
+        if not key:
+            raise ValueError("gazetteer entry with empty name")
+        if key in self._entries:
+            raise ValueError(f"ambiguous gazetteer name {key!r}")
+        self._entries[key] = point
 
     def lookup(self, text: str) -> GeoPoint | None:
         return self._entries.get(normalize_place(text))
@@ -250,25 +249,24 @@ SEED_COLUMNS = ("user_id", "lat", "lon", "source", "spread_km")
 
 def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
     events = []
-    for lineno, fields in _tsv.iter_rows(path):
-        _tsv.require_fields(fields, 4, path, lineno)
-        user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        point = _tsv.parse_point(fields[1], fields[2], path, lineno)
-        ts = _tsv.parse_float(fields[3], path, lineno, "timestamp")
-        events.append(GpsEvent(user, point, ts))
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 4)
+            user = _tsv.parse_int(fields[0], "user_id")
+            point = _tsv.parse_point(fields[1], fields[2])
+            ts = _tsv.parse_float(fields[3], "timestamp")
+            events.append(GpsEvent(user, point, ts))
     return events
 
 
 def read_profile_claims_file(path: str | Path) -> list[ProfileClaim]:
     claims = []
-    for lineno, fields in _tsv.iter_rows(path):
-        _tsv.require_fields(fields[:3], 3, path, lineno)
-        user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        observed = _tsv.parse_float(fields[1], path, lineno, "observed_at")
-        text = "\t".join(fields[2:])
-        if not text.strip():
-            raise ValueError(f"{path}:{lineno}: empty profile text")
-        claims.append(ProfileClaim(user, text, observed))
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields[:3], 3)
+            user = _tsv.parse_int(fields[0], "user_id")
+            observed = _tsv.parse_float(fields[1], "observed_at")
+            claims.append(ProfileClaim(user, "\t".join(fields[2:]), observed))
     return claims
 
 
@@ -281,16 +279,13 @@ def write_seeds_file(seeds: Mapping[int, GroundTruthRecord], fh: TextIO) -> None
 
 def read_seeds_file(path: str | Path) -> dict[int, GroundTruthRecord]:
     seeds: dict[int, GroundTruthRecord] = {}
-    for lineno, fields in _tsv.iter_rows(path):
-        _tsv.require_fields(fields, 5, path, lineno)
-        user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        point = _tsv.parse_point(fields[1], fields[2], path, lineno)
-        source = fields[3]
-        spread = _tsv.parse_float(fields[4], path, lineno, "spread_km")
-        if user in seeds:
-            raise ValueError(f"{path}:{lineno}: duplicate seed for user {user}")
-        try:
-            seeds[user] = GroundTruthRecord(user, point, source, spread)
-        except ValueError as exc:  # unknown source or bad spread
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 5)
+            user = _tsv.parse_int(fields[0], "user_id")
+            point = _tsv.parse_point(fields[1], fields[2])
+            spread = _tsv.parse_float(fields[4], "spread_km")
+            if user in seeds:
+                raise ValueError(f"duplicate seed for user {user}")
+            seeds[user] = GroundTruthRecord(user, point, fields[3], spread)
     return seeds

@@ -337,17 +337,18 @@ def write_estimates_file(state: EstimateState, fh: TextIO) -> None:
 def read_estimates_file(path: str | Path) -> EstimateState:
     located: dict[int, LocationEstimate] = {}
     max_iteration = 0
-    for lineno, fields in _tsv.iter_rows(path):
-        _tsv.require_fields(fields, 6, path, lineno)
-        user = _tsv.parse_int(fields[0], path, lineno, "user_id")
-        point = _tsv.parse_point(fields[1], fields[2], path, lineno)
-        disp = _tsv.parse_float(fields[3], path, lineno, "dispersion_km")
-        source = fields[4]
-        if source not in (SOURCE_SEED, SOURCE_INFERRED):
-            raise ValueError(f"{path}:{lineno}: unknown source {source!r}")
-        first = _tsv.parse_int(fields[5], path, lineno, "first_located_iteration")
-        if user in located:
-            raise ValueError(f"{path}:{lineno}: duplicate estimate for user {user}")
-        located[user] = LocationEstimate(user, point, disp, source, first)
-        max_iteration = max(max_iteration, first)
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 6)
+            user = _tsv.parse_int(fields[0], "user_id")
+            point = _tsv.parse_point(fields[1], fields[2])
+            disp = _tsv.parse_float(fields[3], "dispersion_km")
+            source = fields[4]
+            if source not in (SOURCE_SEED, SOURCE_INFERRED):
+                raise ValueError(f"unknown source {source!r}")
+            first = _tsv.parse_int(fields[5], "first_located_iteration")
+            if user in located:
+                raise ValueError(f"duplicate estimate for user {user}")
+            located[user] = LocationEstimate(user, point, disp, source, first)
+            max_iteration = max(max_iteration, first)
     return EstimateState(located, max_iteration)

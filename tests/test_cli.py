@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -399,10 +400,14 @@ class TestEvalCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child does not inherit pytest's `pythonpath`, so give it `src`.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tvgeo.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert "tvgeo" in proc.stdout

@@ -23,14 +23,33 @@ OUT_OF_RANGE = "latitude 91.0 outside [-90, 90]"
         (read_seeds_file, "1\t91.0\t2.35\tgps\t0.0", OUT_OF_RANGE),
         (read_seeds_file, "1\t48.85\t2.35\toracle\t0.0", "unknown seed source 'oracle'"),
         (read_estimates_file, "1\t91.0\t2.35\t0.0\tseed\t0", OUT_OF_RANGE),
+        (read_gps_events_file, "1\t48.85\t2.35\tnan", "timestamp must be finite, got nan"),
+        (read_profile_claims_file, "1\tinf\tParis", "observed_at must be finite, got inf"),
+        (CityTable.from_tsv, "Paris\t48.85\t2.35\t-1", "population must be >= 0, got -1"),
+        (Gazetteer.from_tsv, " \t48.85\t2.35", "gazetteer entry with empty name"),
+        (
+            CityTable.from_tsv,
+            "Paris\t48.85\t2.35\t100000\nParis\t48.86\t2.35\t100000",
+            "duplicate city name 'Paris'",
+        ),
     ],
 )
 def test_point_errors_carry_path_and_line(tmp_path, reader, row, message):
+    text = f"# format: v1\n{row}\n"
+    last_line = text.count("\n")  # every case fails on its last row
     path = tmp_path / "rows.tsv"
-    path.write_text(f"# format: v1\n{row}\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as raised:
         reader(path)
-    assert str(raised.value) == f"{path}:2: {message}"
+    assert str(raised.value) == f"{path}:{last_line}: {message}"
+
+
+def test_undecodable_file_names_the_path(tmp_path):
+    path = tmp_path / "seeds.tsv"
+    path.write_bytes(b"# format: v1\n1\t48.85\t2.35\tgps\t0.0\n2\tCr\xe9teil\n")
+    with pytest.raises(ValueError) as raised:
+        read_seeds_file(path)
+    assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xe9")
 
 
 @pytest.mark.parametrize(
