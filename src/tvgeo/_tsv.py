@@ -1,4 +1,5 @@
-"""Shared helpers for the tab-separated file formats.
+"""Shared helpers for the tab-separated file formats, and the atomic writer
+every output file goes through.
 
 Files are UTF-8; `#`-prefixed lines are comments. Writers stamp a
 `# format: v1` header and readers reject files declaring any other version.
@@ -6,7 +7,9 @@ Files are UTF-8; `#`-prefixed lines are comments. Writers stamp a
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -20,6 +23,30 @@ _FORMAT_RE = re.compile(r"#\s*format:\s*v(\d+)\s*$")
 def write_header(fh: TextIO, columns: Sequence[str]) -> None:
     fh.write(f"# format: v{FORMAT_VERSION}\n")
     fh.write("# " + "\t".join(columns) + "\n")
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open path for writing UTF-8 text that replaces it whole or not at all.
+
+    The text goes to a temporary file in the same directory, which replaces
+    path (os.replace) when the block ends. If the block raises, the temporary
+    file is removed and path keeps its previous bytes. There is no fsync:
+    this guards against a failed or killed writer, not against power loss.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            # The handle carries its destination's name, as open(path)'s would.
+            fh.buffer.raw.name = path
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def iter_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -41,8 +68,29 @@ def iter_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
                     continue
                 yield lineno, line.split("\t")
         except UnicodeDecodeError as exc:
-            # The file is decoded in chunks, so the failing line is unknown.
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(_undecodable(path, exc)) from None
+
+
+def _undecodable(path: str | Path, exc: UnicodeDecodeError) -> str:
+    """`path:line: ... at byte N` for the file's first byte that is not UTF-8.
+
+    The text layer decodes in chunks, so exc's position counts from the start
+    of a chunk; a binary pass finds the line and the offset in the file. No
+    multi-byte sequence contains a newline byte, so decoding line by line
+    fails where decoding the whole file does.
+    """
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return (
+                    f"{path}:{lineno}: 'utf-8' codec can't decode byte "
+                    f"0x{raw[err.start]:02x} at byte {offset + err.start}: {err.reason}"
+                )
+            offset += len(raw)
+    return f"{path}: {exc}"  # the file changed since it was read
 
 
 class Rows:

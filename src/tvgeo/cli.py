@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
+from ._tsv import atomic_write
 from .evaluation import (
     CityTable,
     city_accuracy,
@@ -167,7 +168,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.stdout:
         write_network_file(network, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             write_network_file(network, fh)
         _write_manifest(
             args.out,
@@ -205,7 +206,7 @@ def cmd_seed(args: argparse.Namespace) -> int:
     if args.stdout:
         write_seeds_file(seeds, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             write_seeds_file(seeds, fh)
         inputs = [p for p in (args.gps, args.profiles, args.gazetteer) if p is not None]
         _write_manifest(
@@ -245,10 +246,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if args.stdout:
         write_estimates_file(state, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             write_estimates_file(state, fh)
         report_path = args.report or Path(f"{args.out}.report.csv")
-        with open(report_path, "w", encoding="utf-8") as fh:
+        with atomic_write(report_path) as fh:
             fh.write("iteration,newly_located,located_total\n")
             for row in stats:
                 fh.write(f"{row.iteration},{row.newly_located},{row.located_total}\n")
@@ -329,9 +330,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "report.csv") as fh:
         write_report_csv(report, fh)
-    with open(out_dir / "per_iteration.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "per_iteration.csv") as fh:
         write_per_iteration_csv(report, fh)
 
     inputs = [args.estimates, args.truth]
@@ -347,7 +348,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rows = gamma_sweep(
             network, train, truth, gammas, args.iterations, threads=args.threads
         )
-        with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
+        with atomic_write(out_dir / "sweep.csv") as fh:
             write_sweep_csv(rows, fh)
         inputs.extend([args.network, args.train_seeds])
 
@@ -401,7 +402,7 @@ def _write_manifest(
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     path = Path(f"{anchor}.manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -238,14 +238,14 @@ def write_synth_files(result: SynthResult, out_dir: str | Path) -> dict[str, Pat
         "cities": out / "cities.tsv",
         "assignments": out / "assignments.tsv",
     }
-    with open(paths["network"], "w", encoding="utf-8") as fh:
+    with _tsv.atomic_write(paths["network"]) as fh:
         write_network_file(result.network, fh)
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
+    with _tsv.atomic_write(paths["truth"]) as fh:
         write_truth_file(result.truth, fh)
-    with open(paths["seeds"], "w", encoding="utf-8") as fh:
+    with _tsv.atomic_write(paths["seeds"]) as fh:
         write_seeds_file(result.seeds, fh)
-    with open(paths["cities"], "w", encoding="utf-8") as fh:
+    with _tsv.atomic_write(paths["cities"]) as fh:
         result.cities.write_tsv(fh)
-    with open(paths["assignments"], "w", encoding="utf-8") as fh:
+    with _tsv.atomic_write(paths["assignments"]) as fh:
         write_assignments_file(result.city_of, fh)
     return paths

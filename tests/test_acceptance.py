@@ -6,6 +6,14 @@ Golden values were recorded at the first verified run of the committed
 benchmark and are pinned below. The determinism criterion compares bytes
 exactly; the pinned metric values are asserted at 1e-6 relative so an ulp of
 libm variation on another platform reads as a real signal, not test noise.
+
+GOLDEN_DIGEST is libm-sensitive. It hashes the estimates file, whose floats
+come from sin, cos, atan2 and friends in the platform's C math library. It
+holds with CPython 3.11.7 on x86-64 Linux (glibc). Another libm, or another
+CPU's rounding of the transcendental functions, can move the last bit of an
+estimate and so the digest, while the metric goldens still agree to 1e-6. A
+digest mismatch on a new platform is a question about the platform before
+it is a question about the code.
 """
 
 from __future__ import annotations

@@ -264,6 +264,24 @@ class TestInfer:
         assert capsys.readouterr().err == "error: a solver worker process terminated abruptly\n"
         assert not out.exists()
 
+    def test_failed_rerun_leaves_the_previous_outputs(
+        self, tmp_path, path_fixture, monkeypatch, capsys
+    ):
+        network, seeds, _ = path_fixture
+        out = tmp_path / "est.tsv"
+        args = ["infer", str(network), str(seeds), "--out", str(out), "--threads", "1"]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_writer(state, fh):
+            fh.write("# format: v1\n1\t40.0")
+            raise ValueError("no space left on device")
+
+        monkeypatch.setattr(cli, "write_estimates_file", failing_writer)
+        assert main(args) == 1
+        assert capsys.readouterr().err.endswith("error: no space left on device\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_manifest_records_only_the_solver_parameters(self, tmp_path, path_fixture):
         network, seeds, _ = path_fixture
         out = tmp_path / "est.tsv"

@@ -1,11 +1,14 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+import tvgeo.robust_stats as robust_stats
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
 from tvgeo.robust_stats import (
     WeightedPointSet,
+    _medoid,
     dispersion,
     geodesic_l1_median,
     mad_spread,
@@ -192,3 +195,137 @@ class TestMadSpread:
         far = mad_spread(cluster + [destination(center, 45.0, 8000.0)])
         assert near <= 1.0 and far <= 1.0
         assert abs(near - far) < 0.05
+
+
+def _worldwide_point(rng: random.Random) -> GeoPoint:
+    return GeoPoint(math.degrees(math.asin(rng.uniform(-1.0, 1.0))), rng.uniform(-180.0, 180.0))
+
+
+def _cluster(rng: random.Random, n: int, radius_deg: float) -> list[GeoPoint]:
+    clat, clon = rng.uniform(-75.0, 75.0), rng.uniform(-180.0, 180.0)
+    return [
+        GeoPoint(
+            max(-90.0, min(90.0, clat + rng.uniform(-radius_deg, radius_deg))),
+            clon + rng.uniform(-radius_deg, radius_deg),
+        )
+        for _ in range(n)
+    ]
+
+
+def _kernel_sets() -> list[WeightedPointSet]:
+    """~200 seeded point sets that reach every branch of the median: local
+    Weiszfeld, broad sets, hemisphere-spanning medoids, one and two points,
+    coincident and repeated points, optima on or next to a data point, and
+    an iterate that starts exactly on a non-optimal data point, and a set
+    that stops at MAX_ITER."""
+    rng = random.Random(7001)
+    sets = []
+    for i in range(196):
+        kind = i % 7
+        if kind == 0:  # local
+            points = _cluster(rng, rng.randint(3, 12), 0.5)
+        elif kind == 1:  # up to a few thousand km, some past the 88 degree test
+            points = _cluster(rng, rng.randint(3, 10), rng.choice((5.0, 20.0, 40.0)))
+        elif kind == 2:  # worldwide
+            points = [_worldwide_point(rng) for _ in range(rng.randint(3, 25))]
+        elif kind == 3:  # one or two points, or one point repeated
+            points = _cluster(rng, i % 2 + 1, 0.2)
+            if i % 4 == 3:
+                points = [points[0]] * rng.randint(2, 4)
+        elif kind == 4:  # repeated points within a cluster
+            points = _cluster(rng, rng.randint(3, 6), 0.3)
+            points += [rng.choice(points) for _ in range(rng.randint(1, 3))]
+        elif kind == 5:  # a data point at or next to the optimum
+            points = _cluster(rng, rng.randint(3, 8), 0.2)
+            lat = math.fsum(p.lat for p in points) / len(points)
+            lon = math.fsum(p.lon for p in points) / len(points)
+            points.append(GeoPoint(lat, lon))
+        else:  # within ~10 m, so the iterate keeps meeting data points
+            points = _cluster(rng, rng.randint(3, 8), 0.0001)
+        if rng.random() < 0.5:
+            weights = [float(rng.randint(1, 5)) for _ in points]
+        else:
+            weights = [rng.uniform(0.5, 5.0) for _ in points]
+        if kind == 5 and rng.random() < 0.5:
+            weights[-1] = math.fsum(weights)  # majority weight: snap to it
+        sets.append(WeightedPointSet(tuple(points), tuple(weights)))
+    # The centroid of these cancels exactly onto (0, 0), a light data point
+    # that the other three pull away from: the 1 m nudge.
+    for lat, dlon in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.7)):
+        c = math.cos(math.radians(lat))
+        points = (GeoPoint(0.0, 0.0), GeoPoint(0.0, dlon), GeoPoint(lat, -dlon), GeoPoint(-lat, -dlon))
+        sets.append(WeightedPointSet(points, (0.1, 2.0 * c, 1.0, 1.0)))
+    # Oscillates within 10 m of non-optimal data points until MAX_ITER.
+    stalled = (
+        (-32.27266212201046, 17.521064449812542),
+        (-32.272789305230305, 17.52097869377934),
+        (-32.27269086240675, 17.520821066774744),
+        (-32.272554992881275, 17.52136821559452),
+        (-32.27268057484278, 17.520916904075307),
+        (-32.27291252783571, 17.521344762441572),
+    )
+    sets.append(
+        WeightedPointSet(
+            tuple(GeoPoint(lat, lon) for lat, lon in stalled),
+            (4.0, 3.0, 4.0, 2.5283929607050193, 2.1013361208766304, 3.0),
+        )
+    )
+    # An octahedron's centroid is degenerate: the medoid.
+    octahedron = (GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0), GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0))
+    sets.append(WeightedPointSet.unweighted(octahedron))
+    return sets
+
+
+# SHA-256 of repr(geodesic_l1_median(s)) over _kernel_sets(), recorded from
+# the indexing Weiszfeld loop that the float-level one replaced. Like
+# GOLDEN_DIGEST it is libm-sensitive: it pins this platform's floats.
+KERNEL_DIGEST = "eee23fb84943abfc6e5fc2792bbfb49f73536b0874a9ebe1a811bdec6dea64c2"
+
+
+def test_median_kernel_is_bit_identical():
+    medians = [geodesic_l1_median(s) for s in _kernel_sets()]
+    assert hashlib.sha256(repr(medians).encode()).hexdigest() == KERNEL_DIGEST
+
+
+def _medoid_sets() -> list[WeightedPointSet]:
+    """Seeded worldwide sets of 3-60 points, some with repeated points."""
+    rng = random.Random(7002)
+    sets = []
+    for n in list(range(3, 13)) + [20, 33, 47, 60]:
+        points = [_worldwide_point(rng) for _ in range(n)]
+        if n % 2:
+            points[-1] = points[0]
+        weights = [float(rng.randint(1, 4)) for _ in points]
+        sets.append(WeightedPointSet(tuple(points), tuple(weights)))
+    return sets
+
+
+class TestMedoid:
+    def test_medoid_is_the_first_argmin_of_the_objective(self):
+        for s in _medoid_sets():
+            objectives = [weighted_distance_sum(p, s) for p in s.points]
+            assert _medoid(s) is s.points[objectives.index(min(objectives))]
+
+    def test_exact_tie_goes_to_the_first_index(self):
+        rng = random.Random(7003)
+        a, b = _worldwide_point(rng), GeoPoint(0.0, 0.0)
+        others = tuple(_worldwide_point(rng) for _ in range(5))
+        # Equal copies of a heavy point tie bit for bit; the first one wins.
+        first, second = GeoPoint(a.lat, a.lon), GeoPoint(a.lat, a.lon)
+        s = WeightedPointSet((b, first, *others, second), (1.0, 9.0, 1.0, 1.0, 1.0, 1.0, 1.0, 9.0))
+        objectives = [weighted_distance_sum(p, s) for p in s.points]
+        assert objectives[1] == objectives[-1] == min(objectives)
+        assert _medoid(s) is first
+
+    def test_one_distance_call_per_unordered_pair(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return geodesic_distance(a, b)
+
+        monkeypatch.setattr(robust_stats, "geodesic_distance", counting)
+        for s in _medoid_sets():
+            calls.clear()
+            _medoid(s)
+            assert len(calls) == len(s) * (len(s) - 1) // 2

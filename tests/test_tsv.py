@@ -1,5 +1,6 @@
 import pytest
 
+from tvgeo._tsv import atomic_write
 from tvgeo.evaluation import CityTable, read_truth_file
 from tvgeo.graph import iter_mention_file, read_network_file
 from tvgeo.ground_truth import (
@@ -49,7 +50,21 @@ def test_undecodable_file_names_the_path(tmp_path):
     path.write_bytes(b"# format: v1\n1\t48.85\t2.35\tgps\t0.0\n2\tCr\xe9teil\n")
     with pytest.raises(ValueError) as raised:
         read_seeds_file(path)
-    assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xe9")
+    assert str(raised.value) == (
+        f"{path}:3: 'utf-8' codec can't decode byte 0xe9 at byte 38: invalid continuation byte"
+    )
+    # Past the text layer's first 8 KB chunk the position is still the file's.
+    head = b"# format: v1\n" + b"".join(
+        b"%d\t48.85\t2.35\tgps\t0.0\n" % user for user in range(1, 1001)
+    )
+    assert len(head) > 20_000
+    path.write_bytes(head + b"1001\tCr\xe9teil\n")
+    with pytest.raises(ValueError) as raised:
+        read_seeds_file(path)
+    assert str(raised.value) == (
+        f"{path}:1002: 'utf-8' codec can't decode byte 0xe9 "
+        f"at byte {len(head) + 7}: invalid continuation byte"
+    )
 
 
 @pytest.mark.parametrize(
@@ -72,3 +87,26 @@ def test_every_reader_rejects_an_unsupported_format_version(tmp_path, reader, ro
     with pytest.raises(ValueError) as raised:
         reader(path)
     assert str(raised.value) == f"{path}:1: unsupported format version v2"
+
+
+def test_atomic_write_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"previous\n")
+    with atomic_write(path) as fh:
+        assert fh.name == str(path)
+        fh.write("new\n")
+        assert path.read_bytes() == b"previous\n"  # untouched until the end
+    assert path.read_bytes() == b"new\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_writer_raising_midway_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"previous\n")
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_write(path) as fh:
+            fh.write("partial\n" * 10_000)
+            fh.flush()
+            raise OSError("disk full")
+    assert path.read_bytes() == b"previous\n"
+    assert list(tmp_path.iterdir()) == [path]
