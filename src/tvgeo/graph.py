@@ -56,6 +56,11 @@ class SocialNetwork:
     endpoints. Nodes, edges and equality are derived from it. It is built
     once at construction, so the finished network can be shared across
     workers without synchronization.
+
+    Construction is the one edge check. Edges are read one at a time, in
+    either orientation; a self-loop, a weight below 1 or a pair given twice
+    raises ValueError at the first such edge in input order, so a reader
+    that feeds it rows can name the line.
     """
 
     __slots__ = ("_adjacency", "_num_edges")
@@ -70,23 +75,21 @@ class SocialNetwork:
         return network
 
     def _build(self, edges: Iterable[tuple[int, int, int]]) -> None:
-        adjacency: dict[int, list[tuple[int, int]]] = {}
+        adjacency: dict[int, dict[int, int]] = {}
         for u, v, w in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             w = int(w)
             if w < 1:
                 raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) has non-positive weight {w}")
-            adjacency.setdefault(u, []).append((v, w))
-            adjacency.setdefault(v, []).append((u, w))
+            neighbors = adjacency.setdefault(u, {})
+            if v in neighbors:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+            neighbors[v] = w
+            adjacency.setdefault(v, {})[u] = w
         self._adjacency: dict[int, tuple[tuple[int, int], ...]] = {}
         for node in sorted(adjacency):
-            neighbors = sorted(adjacency.pop(node))
-            # An edge given in both orientations leaves one neighbor twice.
-            for (a, _), (b, _) in zip(neighbors, neighbors[1:]):
-                if a == b:
-                    raise ValueError(f"duplicate edge ({min(node, a)}, {max(node, a)})")
-            self._adjacency[node] = tuple(neighbors)
+            self._adjacency[node] = tuple(sorted(adjacency.pop(node).items()))
         self._num_edges = sum(map(len, self._adjacency.values())) // 2
 
     @property
@@ -154,13 +157,11 @@ def build_reciprocal_network(
         totals[key] = totals.get(key, 0) + count
     report.directed_pairs = len(totals)
 
-    edges: dict[tuple[int, int], int] = {}
-    for (src, dst), outgoing in totals.items():
-        if src < dst:
-            incoming = totals.get((dst, src))
-            if incoming is not None:
-                edges[(src, dst)] = min(outgoing, incoming)
-    network = SocialNetwork(edges)
+    network = SocialNetwork.from_edges(
+        (src, dst, min(outgoing, totals[(dst, src)]))
+        for (src, dst), outgoing in totals.items()
+        if src < dst and (dst, src) in totals
+    )
     report.edges_out = network.num_edges
     report.users_out = network.num_nodes
     return network, report
@@ -186,7 +187,7 @@ def total_variation(
 # --- file formats -----------------------------------------------------------
 #
 # Mention file row:  src_id <TAB> dst_id <TAB> count
-# Network file row:  u <TAB> v <TAB> weight   (u < v)
+# Network file row:  u <TAB> v <TAB> weight   (written u < v, read either way)
 
 MENTION_COLUMNS = ("src_id", "dst_id", "count")
 NETWORK_COLUMNS = ("u", "v", "weight")
@@ -210,19 +211,13 @@ def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
 
 
 def read_network_file(path: str | Path) -> SocialNetwork:
-    edges: dict[tuple[int, int], int] = {}
     with _tsv.Rows(path) as rows:
-        for fields in rows:
-            _tsv.require_fields(fields, 3)
-            u = _tsv.parse_int(fields[0], "node id")
-            v = _tsv.parse_int(fields[1], "node id")
-            w = _tsv.parse_int(fields[2], "weight")
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                raise ValueError(f"duplicate edge {key}")
-            if w < 1:
-                raise ValueError(f"non-positive weight {w}")
-            edges[key] = w
-    return SocialNetwork(edges)
+        return SocialNetwork.from_edges(map(_network_edge, rows))
+
+
+def _network_edge(fields: list[str]) -> tuple[int, int, int]:
+    _tsv.require_fields(fields, 3)
+    u = _tsv.parse_int(fields[0], "node id")
+    v = _tsv.parse_int(fields[1], "node id")
+    w = _tsv.parse_int(fields[2], "weight")
+    return u, v, w

@@ -162,6 +162,8 @@ def gazetteer_home(
     """Home from the user's most recent profile claim, when at most 90 days
     old and exactly matched in the gazetteer. Ties on observed_at break by
     claim text so the result is order-independent."""
+    if not math.isfinite(now):
+        raise ValueError(f"now must be finite, got {now}")
     if not claims:
         return None
     users = {c.user for c in claims}

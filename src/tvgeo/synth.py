@@ -48,10 +48,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.num_cities < 1 or self.users_per_city < 1:
             raise ValueError("city and user counts must be positive")
-        if self.city_radius_km <= 0.0:
-            raise ValueError("city radius must be positive")
-        if self.intra_edge_mean_degree < 0.0:
-            raise ValueError("mean degree must be non-negative")
+        if not 0.0 < self.city_radius_km < math.inf:
+            raise ValueError(f"city_radius_km must be finite and > 0, got {self.city_radius_km}")
+        if not 0.0 <= self.intra_edge_mean_degree < math.inf:
+            degree = self.intra_edge_mean_degree
+            raise ValueError(f"intra_edge_mean_degree must be finite and >= 0, got {degree}")
         if not 0.0 <= self.inter_edge_fraction < 1.0:
             raise ValueError("inter-city edge fraction must be in [0, 1)")
         if not 0.0 < self.seed_fraction <= 1.0:
@@ -91,8 +92,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     edge_list, edge_set = _intra_city_edges(cfg, rng, users_by_city, truth)
     _rewire_across_cities(cfg, rng, edge_list, edge_set, users_by_city, city_of)
 
-    weighted = [(u, v, _geometric_weight(rng)) for u, v in edge_list]
-    network = SocialNetwork.from_edges(weighted)
+    network = SocialNetwork.from_edges((u, v, _geometric_weight(rng)) for u, v in edge_list)
 
     seeds: dict[int, GroundTruthRecord] = {}
     for members in users_by_city:

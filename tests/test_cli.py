@@ -131,6 +131,22 @@ class TestSeed:
         assert code == 1
         assert "gazetteer" in capsys.readouterr().err
 
+    def test_non_finite_now_fails(self, tmp_path, inputs, capsys):
+        _, claims, gazetteer = inputs
+        out = tmp_path / "seeds.tsv"
+        code = main(
+            [
+                "seed",
+                "--profiles", str(claims),
+                "--gazetteer", str(gazetteer),
+                "--now", "nan",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: now must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_some_input(self, tmp_path, capsys):
         assert main(["seed", "--out", str(tmp_path / "s.tsv")]) == 1
 
@@ -348,6 +364,22 @@ class TestSynthCommand:
         )
         assert code == 1
         assert "cannot place" in capsys.readouterr().err
+
+    def test_non_finite_mean_degree_fails(self, tmp_path, capsys):
+        code = main(
+            [
+                "synth",
+                "--out-dir", str(tmp_path / "x"),
+                "--num-cities", "2",
+                "--users-per-city", "5",
+                "--city-radius", "10",
+                "--mean-degree", "inf",
+                "--seed-fraction", "0.5",
+                "--rng-seed", "1",
+            ]
+        )
+        assert code == 1
+        assert "error: intra_edge_mean_degree must be" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -113,6 +113,9 @@ class TestSocialNetwork:
             SocialNetwork({(1, 5): 1, (7, 2): 1, (5, 9): 1, (2, 7): 3})
         with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
             SocialNetwork.from_edges([(1, 2, 1), (1, 2, 3)])
+        # The first repeat in input order is named, not the lowest pair.
+        with pytest.raises(ValueError, match=r"^duplicate edge \(5, 9\)$"):
+            SocialNetwork.from_edges([(5, 9, 1), (1, 2, 1), (9, 5, 1), (2, 1, 1)])
         with pytest.raises(ValueError, match=r"^self-loop on node 3$"):
             SocialNetwork({(3, 3): 1})
         with pytest.raises(ValueError, match=r"^edge \(1, 4\) has non-positive weight 0$"):

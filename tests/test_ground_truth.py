@@ -151,6 +151,13 @@ class TestGazetteerHome:
         claim = ProfileClaim(7, "Malibu, CA", observed_at=now - MAX_CLAIM_AGE_SECONDS)
         assert gazetteer_home([claim], gazetteer, now) is not None
 
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_non_finite_now_rejected(self, gazetteer, now):
+        # A NaN age compares False against the cap, so a 1970 claim would pass.
+        claim = ProfileClaim(7, "Malibu, CA", observed_at=0.0)
+        with pytest.raises(ValueError, match=r"^now must be finite, got "):
+            gazetteer_home([claim], gazetteer, now)
+
     def test_unmatched_multi_location_claim_rejected(self, gazetteer):
         claim = ProfileClaim(7, "Paris | London", observed_at=1000.0)
         assert gazetteer_home([claim], gazetteer, now=1000.0) is None

@@ -52,6 +52,11 @@ class TestSynthConfig:
             cfg_with(seed_fraction=0.0)
         with pytest.raises(ValueError):
             cfg_with(seed_fraction=1.5)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^city_radius_km must be finite and > 0"):
+                cfg_with(city_radius_km=value)
+            with pytest.raises(ValueError, match="^intra_edge_mean_degree must be finite and >= 0"):
+                cfg_with(intra_edge_mean_degree=value)
 
 
 class TestGenerate:

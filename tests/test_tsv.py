@@ -33,6 +33,9 @@ OUT_OF_RANGE = "latitude 91.0 outside [-90, 90]"
             "Paris\t48.85\t2.35\t100000\nParis\t48.86\t2.35\t100000",
             "duplicate city name 'Paris'",
         ),
+        (read_network_file, "1\t2\t1\n3\t3\t1", "self-loop on node 3"),
+        (read_network_file, "1\t2\t1\n2\t1\t4", "duplicate edge (1, 2)"),
+        (read_network_file, "1\t2\t1\n4\t1\t0", "edge (1, 4) has non-positive weight 0"),
     ],
 )
 def test_point_errors_carry_path_and_line(tmp_path, reader, row, message):
