@@ -15,10 +15,10 @@ import json
 import math
 import sys
 from concurrent.futures import BrokenExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from . import __version__
 from ._tsv import atomic_write
@@ -87,9 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="build the reciprocated-mention network")
     p.add_argument("mentions", help="mention TSV: src_id<TAB>dst_id<TAB>count")
-    out = p.add_mutually_exclusive_group(required=True)
-    out.add_argument("--out", type=Path, help="output network TSV")
-    out.add_argument("--stdout", action="store_true", help="write the network to stdout")
+    _add_output(p, "network")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("seed", help="derive ground-truth seeds from GPS and profiles")
@@ -101,9 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         help="reference unix time for profile staleness (required with --profiles)",
     )
-    out = p.add_mutually_exclusive_group(required=True)
-    out.add_argument("--out", type=Path, help="output seeds TSV")
-    out.add_argument("--stdout", action="store_true")
+    _add_output(p, "seeds")
     p.set_defaults(func=cmd_seed)
 
     p = sub.add_parser("infer", help="run the solver")
@@ -111,21 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("seeds", type=Path)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_KM, help="max ego dispersion in km (inf allowed)")
     p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=_usable_cpus(),
-        help="worker processes; output is byte-identical for any value",
-    )
+    _add_threads(p)
     p.add_argument("--report", type=Path, help="per-iteration counts CSV (default: OUT.report.csv)")
     p.add_argument(
         "--check-descent",
         action="store_true",
         help="assert the per-node descent invariant on every accepted update",
     )
-    out = p.add_mutually_exclusive_group(required=True)
-    out.add_argument("--out", type=Path, help="output estimates TSV")
-    out.add_argument("--stdout", action="store_true")
+    _add_output(p, "estimates")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("synth", help="generate a planted-city benchmark")
@@ -152,30 +141,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", type=Path, help="network TSV (required with --sweep)")
     p.add_argument("--train-seeds", type=Path, help="training seeds TSV (required with --sweep)")
     p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS, help="solver iterations for --sweep runs")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=_usable_cpus(),
-        help="worker processes; output is byte-identical for any value",
-    )
+    _add_threads(p)
     p.set_defaults(func=cmd_eval)
 
     return parser
 
 
+def _add_output(p: argparse.ArgumentParser, what: str) -> None:
+    out = p.add_mutually_exclusive_group(required=True)
+    out.add_argument("--out", type=Path, help=f"output {what} TSV")
+    out.add_argument("--stdout", action="store_true", help=f"write the {what} to stdout")
+
+
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--threads",
+        type=_worker_count,
+        default=_usable_cpus(),
+        help="worker processes, at least 1; output is byte-identical for any value",
+    )
+
+
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     network, report = build_reciprocal_network(iter_mention_file(args.mentions))
-    if args.stdout:
-        write_network_file(network, sys.stdout)
-    else:
-        with atomic_write(args.out) as fh:
-            write_network_file(network, fh)
-        _write_manifest(
-            args.out,
-            "ingest",
-            {"mentions": str(args.mentions)},
-            [Path(args.mentions)],
-        )
+    _write_output(
+        args, lambda fh: write_network_file(network, fh), "ingest",
+        {"mentions": str(args.mentions)}, [Path(args.mentions)],
+    )
     print(
         f"ingest: {report.records_in} records in, {report.directed_pairs} directed pairs, "
         f"{report.edges_out} reciprocated edges over {report.users_out} users, "
@@ -203,23 +201,18 @@ def cmd_seed(args: argparse.Namespace) -> int:
             read_profile_claims_file(args.profiles), gazetteer, args.now
         )
     seeds = merge_seeds(gps_records.values(), gaz_records.values())
-    if args.stdout:
-        write_seeds_file(seeds, sys.stdout)
-    else:
-        with atomic_write(args.out) as fh:
-            write_seeds_file(seeds, fh)
-        inputs = [p for p in (args.gps, args.profiles, args.gazetteer) if p is not None]
-        _write_manifest(
-            args.out,
-            "seed",
-            {
-                "gps": _opt_str(args.gps),
-                "profiles": _opt_str(args.profiles),
-                "gazetteer": _opt_str(args.gazetteer),
-                "now": args.now,
-            },
-            inputs,
-        )
+    _write_output(
+        args,
+        lambda fh: write_seeds_file(seeds, fh),
+        "seed",
+        {
+            "gps": _opt_str(args.gps),
+            "profiles": _opt_str(args.profiles),
+            "gazetteer": _opt_str(args.gazetteer),
+            "now": args.now,
+        },
+        [p for p in (args.gps, args.profiles, args.gazetteer) if p is not None],
+    )
     overlap = len(gps_records.keys() & gaz_records.keys())
     print(
         f"seed: {len(gps_records)} gps, {len(gaz_records)} gazetteer, "
@@ -243,27 +236,23 @@ def cmd_infer(args: argparse.Namespace) -> int:
     state, stats = infer(
         network, seeds, cfg, threads=args.threads, check_descent=args.check_descent
     )
-    if args.stdout:
-        write_estimates_file(state, sys.stdout)
-    else:
-        with atomic_write(args.out) as fh:
-            write_estimates_file(state, fh)
-        report_path = args.report or Path(f"{args.out}.report.csv")
-        with atomic_write(report_path) as fh:
+    _write_output(
+        args,
+        lambda fh: write_estimates_file(state, fh),
+        "infer",
+        {
+            "network": str(args.network),
+            "seeds": str(args.seeds),
+            "gamma": args.gamma,
+            "iterations": args.iterations,
+        },
+        [args.network, args.seeds],
+    )
+    if args.report or args.out:
+        with atomic_write(args.report or Path(f"{args.out}.report.csv")) as fh:
             fh.write("iteration,newly_located,located_total\n")
             for row in stats:
                 fh.write(f"{row.iteration},{row.newly_located},{row.located_total}\n")
-        _write_manifest(
-            args.out,
-            "infer",
-            {
-                "network": str(args.network),
-                "seeds": str(args.seeds),
-                "gamma": args.gamma,
-                "iterations": args.iterations,
-            },
-            [args.network, args.seeds],
-        )
     located_total = stats[-1].located_total if stats else len(seeds)
     print(
         f"infer: {located_total} users located after {len(stats)} iterations "
@@ -285,20 +274,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     result = generate(cfg)
     paths = write_synth_files(result, args.out_dir)
-    _write_manifest(
-        args.out_dir / "synth",
-        "synth",
-        {
-            "num_cities": cfg.num_cities,
-            "users_per_city": cfg.users_per_city,
-            "city_radius_km": cfg.city_radius_km,
-            "intra_edge_mean_degree": cfg.intra_edge_mean_degree,
-            "inter_edge_fraction": cfg.inter_edge_fraction,
-            "seed_fraction": cfg.seed_fraction,
-            "rng_seed": cfg.rng_seed,
-        },
-        [],
-    )
+    _write_manifest(args.out_dir / "synth", "synth", asdict(cfg), [])
     print(
         f"synth: {result.network.num_nodes} networked users, "
         f"{result.network.num_edges} edges, {len(result.seeds)} seeds, "
@@ -311,6 +287,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    gammas = None
+    if args.sweep is not None:
+        if args.network is None or args.train_seeds is None:
+            raise ValueError("--sweep requires --network and --train-seeds")
+        try:
+            gammas = [float(g) for g in args.sweep.split(",") if g.strip()]
+        except ValueError:
+            raise ValueError(f"--sweep: expected comma-separated gamma values, got {args.sweep!r}") from None
     estimates = read_estimates_file(args.estimates)
     truth = read_truth_file(args.truth)
 
@@ -328,29 +312,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
         accuracy = city_accuracy(estimates, truth, cities, args.min_pop)
         report = replace(report, city_accuracy=accuracy)
 
+    inputs = [args.estimates, args.truth]
+    if args.cities is not None:
+        inputs.append(args.cities)
+    if gammas is not None:
+        network = read_network_file(args.network)
+        train = seed_points(read_seeds_file(args.train_seeds))
+        rows = gamma_sweep(
+            network, train, truth, gammas, args.iterations, threads=args.threads
+        )
+        inputs.extend([args.network, args.train_seeds])
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "report.csv") as fh:
         write_report_csv(report, fh)
     with atomic_write(out_dir / "per_iteration.csv") as fh:
         write_per_iteration_csv(report, fh)
-
-    inputs = [args.estimates, args.truth]
-    if args.cities is not None:
-        inputs.append(args.cities)
-
-    if args.sweep is not None:
-        if args.network is None or args.train_seeds is None:
-            raise ValueError("--sweep requires --network and --train-seeds")
-        gammas = [float(g) for g in args.sweep.split(",") if g.strip()]
-        network = read_network_file(args.network)
-        train = seed_points(read_seeds_file(args.train_seeds))
-        rows = gamma_sweep(
-            network, train, truth, gammas, args.iterations, threads=args.threads
-        )
+    if gammas is not None:
         with atomic_write(out_dir / "sweep.csv") as fh:
             write_sweep_csv(rows, fh)
-        inputs.extend([args.network, args.train_seeds])
 
     _write_manifest(
         out_dir / "eval",
@@ -373,6 +354,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0
+
+
+def _write_output(
+    args: argparse.Namespace, write: Callable[[TextIO], None],
+    command: str, parameters: dict, inputs: Iterable[Path],
+) -> None:
+    """Write a command's data to stdout under --stdout; otherwise atomically
+    to --out, followed by its manifest."""
+    if args.stdout:
+        write(sys.stdout)
+        return
+    with atomic_write(args.out) as fh:
+        write(fh)
+    _write_manifest(args.out, command, parameters, inputs)
 
 
 def _opt_str(path: Path | None) -> str | None:
@@ -409,12 +404,11 @@ def _write_manifest(
 
 
 def _jsonable(parameters: dict) -> dict:
-    out = {}
-    for key, value in parameters.items():
-        if isinstance(value, float) and math.isinf(value):
-            value = "inf" if value > 0 else "-inf"
-        out[key] = value
-    return out
+    """JSON has no NaN or infinity: a non-finite float is written as its repr."""
+    return {
+        key: repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in parameters.items()
+    }
 
 
 if __name__ == "__main__":

@@ -9,12 +9,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean, median as _scalar_median
-from typing import Mapping, Sequence, TextIO, TypeVar
+from typing import Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from . import _tsv
 from .geodesy import GeoPoint, _unit_vector, geodesic_distance
 from .graph import SocialNetwork
-from .solver import EstimateState, SolverConfig, infer
+from .solver import EstimateState, LocationEstimate, SolverConfig, infer
 
 T = TypeVar("T")
 
@@ -122,11 +122,8 @@ def evaluate(estimates: EstimateState, test: Mapping[int, GeoPoint]) -> EvalRepo
     """Error metrics over located test users; coverage is reported alongside
     so the conditioning on located users stays explicit."""
     errors_by_iteration: dict[int, list[float]] = {}
-    for user in sorted(test):
-        estimate = estimates.located.get(user)
-        if estimate is None:
-            continue
-        error = geodesic_distance(estimate.point, test[user])
+    for estimate, truth in _located(estimates, test):
+        error = geodesic_distance(estimate.point, truth)
         errors_by_iteration.setdefault(estimate.first_located_iteration, []).append(error)
 
     all_errors = [e for k in sorted(errors_by_iteration) for e in errors_by_iteration[k]]
@@ -167,12 +164,9 @@ def city_accuracy(
     vectors = [(_unit_vector(e.point), e) for e in entries]
     located = 0
     correct = 0
-    for user in sorted(test):
-        estimate = estimates.located.get(user)
-        if estimate is None:
-            continue
+    for estimate, truth in _located(estimates, test):
         located += 1
-        if _nearest_city(vectors, estimate.point) == _nearest_city(vectors, test[user]):
+        if _nearest_city(vectors, estimate.point) == _nearest_city(vectors, truth):
             correct += 1
     return correct / located if located else 0.0
 
@@ -211,13 +205,19 @@ def error_histogram(
     if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bin edges must be strictly increasing and non-empty")
     counts = [0] * (len(edges) + 1)
+    for estimate, truth in _located(estimates, test):
+        counts[bisect_right(edges, geodesic_distance(estimate.point, truth))] += 1
+    return counts
+
+
+def _located(
+    estimates: EstimateState, test: Mapping[int, GeoPoint]
+) -> Iterator[tuple[LocationEstimate, GeoPoint]]:
+    """(estimate, truth) of each located test user, in user order."""
     for user in sorted(test):
         estimate = estimates.located.get(user)
-        if estimate is None:
-            continue
-        error = geodesic_distance(estimate.point, test[user])
-        counts[bisect_right(edges, error)] += 1
-    return counts
+        if estimate is not None:
+            yield estimate, test[user]
 
 
 def _nearest_city(

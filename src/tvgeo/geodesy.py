@@ -121,10 +121,22 @@ def _inverse(lat1: float, lon1: float, lat2: float, lon2: float) -> Distance:
         # Near-antipodal pair: no convergence, approximate on the sphere.
         return Distance(_haversine(lat1, lon1, lat2, lon2), True)
 
+    big_a, big_b = _series_ab(cos_sq_alpha)
+    delta_sigma = _delta_sigma(big_b, sin_sigma, cos_sigma, cos2_sigma_m)
+    return Distance(WGS84_B_KM * big_a * (sigma - delta_sigma), False)
+
+
+def _series_ab(cos_sq_alpha: float) -> tuple[float, float]:
+    """Vincenty's series coefficients A and B for the given cos^2(alpha)."""
     u_sq = cos_sq_alpha * (WGS84_A_KM**2 - WGS84_B_KM**2) / WGS84_B_KM**2
     big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
     big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
-    delta_sigma = (
+    return big_a, big_b
+
+
+def _delta_sigma(big_b: float, sin_sigma: float, cos_sigma: float, cos2_sigma_m: float) -> float:
+    """Vincenty's delta-sigma, shared by the inverse and direct problems."""
+    return (
         big_b
         * sin_sigma
         * (
@@ -141,7 +153,6 @@ def _inverse(lat1: float, lon1: float, lat2: float, lon2: float) -> Distance:
             )
         )
     )
-    return Distance(WGS84_B_KM * big_a * (sigma - delta_sigma), False)
 
 
 def _haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -178,31 +189,13 @@ def destination(start: GeoPoint, bearing_deg: float, distance_km: float) -> GeoP
     sigma1 = math.atan2(tan_u1, cos_alpha1)
     sin_alpha = cos_u1 * sin_alpha1
     cos_sq_alpha = 1.0 - sin_alpha * sin_alpha
-    u_sq = cos_sq_alpha * (WGS84_A_KM**2 - WGS84_B_KM**2) / WGS84_B_KM**2
-    big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
-    big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
+    big_a, big_b = _series_ab(cos_sq_alpha)
 
     sigma = distance_km / (WGS84_B_KM * big_a)
     for _ in range(VINCENTY_MAX_ITERATIONS):
         cos2_sigma_m = math.cos(2.0 * sigma1 + sigma)
         sin_sigma, cos_sigma = math.sin(sigma), math.cos(sigma)
-        delta_sigma = (
-            big_b
-            * sin_sigma
-            * (
-                cos2_sigma_m
-                + big_b
-                / 4.0
-                * (
-                    cos_sigma * (-1.0 + 2.0 * cos2_sigma_m * cos2_sigma_m)
-                    - big_b
-                    / 6.0
-                    * cos2_sigma_m
-                    * (-3.0 + 4.0 * sin_sigma * sin_sigma)
-                    * (-3.0 + 4.0 * cos2_sigma_m * cos2_sigma_m)
-                )
-            )
-        )
+        delta_sigma = _delta_sigma(big_b, sin_sigma, cos_sigma, cos2_sigma_m)
         sigma_prev = sigma
         sigma = distance_km / (WGS84_B_KM * big_a) + delta_sigma
         if abs(sigma - sigma_prev) < VINCENTY_TOLERANCE_RAD:

@@ -19,19 +19,14 @@ class MentionRecord(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class WeightedEdge:
-    """An undirected reciprocated tie, canonically ordered u < v."""
+class WeightedEdge(NamedTuple):
+    """An undirected reciprocated tie, canonically ordered u < v. Unchecked:
+    SocialNetwork construction is the one edge check, and edges() yields only
+    edges it accepted."""
 
     u: int
     v: int
     weight: int
-
-    def __post_init__(self) -> None:
-        if self.u >= self.v:
-            raise ValueError(f"edge endpoints must satisfy u < v, got ({self.u}, {self.v})")
-        if self.weight < 1:
-            raise ValueError(f"edge weight must be >= 1, got {self.weight}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean, median as _scalar_median
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import _tsv
 from .geodesy import GeoPoint, geodesic_distance
@@ -208,26 +208,26 @@ def mobility_stats(events: Sequence[GpsEvent]) -> MobilityStats | None:
 
 def gps_homes(events: Iterable[GpsEvent]) -> dict[int, GroundTruthRecord]:
     """Group events by user and keep those that pass gps_home."""
-    by_user: dict[int, list[GpsEvent]] = {}
-    for event in events:
-        by_user.setdefault(event.user, []).append(event)
-    out: dict[int, GroundTruthRecord] = {}
-    for user in sorted(by_user):
-        record = gps_home(by_user[user])
-        if record is not None:
-            out[user] = record
-    return out
+    return _homes_by_user(events, gps_home)
 
 
 def gazetteer_homes(
     claims: Iterable[ProfileClaim], gazetteer: Gazetteer, now: float
 ) -> dict[int, GroundTruthRecord]:
-    by_user: dict[int, list[ProfileClaim]] = {}
-    for claim in claims:
-        by_user.setdefault(claim.user, []).append(claim)
+    """Group claims by user and keep those that pass gazetteer_home."""
+    return _homes_by_user(claims, lambda user_claims: gazetteer_home(user_claims, gazetteer, now))
+
+
+def _homes_by_user(
+    items: Iterable, home: Callable[[list], GroundTruthRecord | None]
+) -> dict[int, GroundTruthRecord]:
+    """home() of each user's items, in user order, where it is not None."""
+    by_user: dict[int, list] = {}
+    for item in items:
+        by_user.setdefault(item.user, []).append(item)
     out: dict[int, GroundTruthRecord] = {}
     for user in sorted(by_user):
-        record = gazetteer_home(by_user[user], gazetteer, now)
+        record = home(by_user[user])
         if record is not None:
             out[user] = record
     return out

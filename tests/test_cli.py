@@ -150,6 +150,17 @@ class TestSeed:
     def test_requires_some_input(self, tmp_path, capsys):
         assert main(["seed", "--out", str(tmp_path / "s.tsv")]) == 1
 
+    def test_non_finite_parameters_keep_the_manifest_strict_json(self, tmp_path, inputs):
+        gps, _, _ = inputs
+        out = tmp_path / "seeds.tsv"
+        assert main(["seed", "--gps", str(gps), "--now", "nan", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"manifest holds the non-JSON constant {constant}")
+
+        text = (tmp_path / "seeds.tsv.manifest.json").read_text(encoding="utf-8")
+        assert json.loads(text, parse_constant=reject)["parameters"]["now"] == "nan"
+
 
 class TestInfer:
     @pytest.fixture
@@ -298,6 +309,18 @@ class TestInfer:
         assert capsys.readouterr().err.endswith("error: no space left on device\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_stdout_run_writes_the_requested_report(self, tmp_path, path_fixture, capsys):
+        network, seeds, _ = path_fixture
+        report = tmp_path / "r.csv"
+        args = ["infer", str(network), str(seeds), "--stdout", "--report", str(report)]
+        assert main(args + ["--threads", "1", "--iterations", "1"]) == 0
+        assert capsys.readouterr().out.startswith("# format:")
+        assert report.read_text(encoding="utf-8").splitlines() == [
+            "iteration,newly_located,located_total",
+            "1,1,3",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.tsv", "r.csv", "seeds.tsv"]
+
     def test_manifest_records_only_the_solver_parameters(self, tmp_path, path_fixture):
         network, seeds, _ = path_fixture
         out = tmp_path / "est.tsv"
@@ -431,6 +454,25 @@ class TestEvalCommand:
         )
         assert code == 1
         assert "--sweep requires" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "report.csv").exists()
+
+    def test_bad_sweep_value_names_the_flag(self, tmp_path, exact_fixture, capsys):
+        estimates, truth = exact_fixture
+        out_dir = tmp_path / "r"
+        code = main(
+            [
+                "eval", str(estimates), str(truth),
+                "--out-dir", str(out_dir),
+                "--sweep", "10,abc",
+                "--network", str(tmp_path / "absent.tsv"),
+                "--train-seeds", str(tmp_path / "absent.tsv"),
+            ]
+        )
+        assert code == 1
+        assert "error: --sweep: expected comma-separated gamma values, got '10,abc'" in (
+            capsys.readouterr().err
+        )
+        assert not out_dir.exists()
 
     def test_city_accuracy_in_report(self, tmp_path, exact_fixture):
         estimates, truth = exact_fixture
@@ -446,6 +488,29 @@ class TestEvalCommand:
         assert code == 0
         body = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()[1]
         assert body.endswith(",1.0")
+
+
+class TestArguments:
+    @pytest.mark.parametrize("command", ["ingest", "seed", "infer", "synth", "eval"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: tvgeo {command}")
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["infer", "net.tsv", "seeds.tsv", "--stdout"],
+            ["eval", "est.tsv", "truth.tsv", "--out-dir", "ev"],
+        ],
+    )
+    def test_threads_below_one_is_rejected(self, command, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [f"--threads={threads}"])
+        assert exc.value.code == 2
+        assert f"--threads: expected an integer >= 1, got '{threads}'" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -133,3 +134,73 @@ class TestDestination:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             destination(GeoPoint(0.0, 0.0), 0.0, -1.0)
+
+
+def _kernel_pairs() -> list[tuple[GeoPoint, GeoPoint]]:
+    """Seeded pairs reaching every branch of the inverse: local, continental,
+    polar, equatorial (cos^2 alpha == 0), coincident, exactly antipodal and
+    near-antipodal pairs where the iteration does not converge."""
+    rng = random.Random(9001)
+    pairs = []
+    for _ in range(500):  # local, within a few km
+        a = random_point(rng, 89.0)
+        pairs.append((a, GeoPoint(a.lat + rng.uniform(-0.05, 0.05), a.lon + rng.uniform(-0.05, 0.05))))
+    for _ in range(500):  # continental and worldwide
+        pairs.append((random_point(rng), random_point(rng)))
+    for _ in range(150):  # at or next to a pole
+        pole = rng.choice((90.0, -90.0, 89.9999999, -89.99999))
+        pairs.append((GeoPoint(pole, rng.uniform(-180.0, 180.0)), random_point(rng)))
+    for _ in range(150):  # both on the equator
+        pairs.append((GeoPoint(0.0, rng.uniform(-180.0, 180.0)), GeoPoint(0.0, rng.uniform(-180.0, 180.0))))
+    for _ in range(100):  # coincident, including the same pole at two longitudes
+        a = random_point(rng)
+        pairs.append((a, GeoPoint(a.lat, a.lon)))
+    pairs.append((GeoPoint(90.0, 0.0), GeoPoint(90.0, 45.0)))
+    for _ in range(100):  # exactly antipodal
+        a = random_point(rng)
+        pairs.append((a, GeoPoint(-a.lat, a.lon + 180.0)))
+    pairs.append((GeoPoint(90.0, 10.0), GeoPoint(-90.0, -30.0)))
+    for _ in range(500):  # within half a degree of antipodal
+        a = random_point(rng, 30.0)
+        b = GeoPoint(-a.lat + rng.uniform(-0.5, 0.5), a.lon + 180.0 + rng.uniform(-0.5, 0.5))
+        pairs.append((a, b))
+    return pairs
+
+
+def _kernel_destinations() -> list[tuple[GeoPoint, float, float]]:
+    """Seeded (start, bearing, distance) cases for the direct problem,
+    including polar starts and due east/west along the equator."""
+    rng = random.Random(9002)
+    cases = []
+    for _ in range(600):
+        cases.append((random_point(rng), rng.uniform(0.0, 360.0), rng.uniform(0.0, 20000.0)))
+    for _ in range(150):
+        cases.append((random_point(rng), rng.uniform(0.0, 360.0), rng.uniform(0.0, 50.0)))
+    for _ in range(100):
+        pole = rng.choice((90.0, -90.0, 89.99999))
+        start = GeoPoint(pole, rng.uniform(-180.0, 180.0))
+        cases.append((start, rng.uniform(0.0, 360.0), rng.uniform(0.0, 20000.0)))
+    for _ in range(100):
+        bearing = rng.choice((90.0, 270.0, 0.0, 180.0))
+        cases.append((GeoPoint(0.0, rng.uniform(-180.0, 180.0)), bearing, rng.uniform(0.0, 20000.0)))
+    return cases
+
+
+# SHA-256 of repr of every (km, approximate) over _kernel_pairs() and every
+# destination over _kernel_destinations(), recorded on the inverse and
+# direct solvers before they shared the A, B and delta-sigma series. Like
+# GOLDEN_DIGEST it is libm-sensitive: it pins this platform's floats.
+GEODESY_DIGEST = "131fba92d1fa57941fd9ea0a5511957ffeda415e7ee33e11514f81a0c14f516c"
+
+
+def test_geodesic_kernels_are_bit_identical():
+    pairs = _kernel_pairs()
+    distances = [tuple(geodesic_distance_detail(a, b)) for a, b in pairs]
+    # The near-antipodal block reaches the non-converging fallback.
+    assert any(
+        approximate and not (a.lat == -b.lat and abs(a.lon - b.lon) == 180.0)
+        for (a, b), (_, approximate) in zip(pairs, distances)
+    )
+    ends = [destination(start, bearing, km) for start, bearing, km in _kernel_destinations()]
+    digest = hashlib.sha256(repr((distances, ends)).encode()).hexdigest()
+    assert digest == GEODESY_DIGEST

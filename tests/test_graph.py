@@ -15,18 +15,6 @@ from tvgeo.graph import (
 )
 
 
-class TestWeightedEdge:
-    def test_requires_canonical_order(self):
-        with pytest.raises(ValueError):
-            WeightedEdge(5, 3, 1)
-        with pytest.raises(ValueError):
-            WeightedEdge(3, 3, 1)
-
-    def test_requires_positive_weight(self):
-        with pytest.raises(ValueError):
-            WeightedEdge(1, 2, 0)
-
-
 class TestBuildReciprocalNetwork:
     def test_min_of_reciprocated_counts(self):
         net, _ = build_reciprocal_network([(1, 2, 5), (2, 1, 2)])
