@@ -187,15 +187,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_seed(args: argparse.Namespace) -> int:
     if args.gps is None and args.profiles is None:
         raise ValueError("at least one of --gps/--profiles is required")
+    if args.profiles is not None and args.gazetteer is None:
+        raise ValueError("--gazetteer is required when --profiles is given")
+    if args.profiles is not None and args.now is None:
+        raise ValueError("--now is required when --profiles is given")
     gps_records = {}
     if args.gps is not None:
         gps_records = gps_homes(read_gps_events_file(args.gps))
     gaz_records = {}
     if args.profiles is not None:
-        if args.gazetteer is None:
-            raise ValueError("--gazetteer is required when --profiles is given")
-        if args.now is None:
-            raise ValueError("--now is required when --profiles is given")
         gazetteer = Gazetteer.from_tsv(args.gazetteer)
         gaz_records = gazetteer_homes(
             read_profile_claims_file(args.profiles), gazetteer, args.now
@@ -295,6 +295,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             gammas = [float(g) for g in args.sweep.split(",") if g.strip()]
         except ValueError:
             raise ValueError(f"--sweep: expected comma-separated gamma values, got {args.sweep!r}") from None
+        if not gammas:
+            raise ValueError("--sweep: gamma list must not be empty")
+        try:
+            for gamma in gammas:
+                SolverConfig(gamma, args.iterations)
+        except ValueError as exc:
+            raise ValueError(f"--sweep: {exc}") from None
     estimates = read_estimates_file(args.estimates)
     truth = read_truth_file(args.truth)
 

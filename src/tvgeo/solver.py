@@ -11,20 +11,22 @@ dispersion, so the located set only grows and every accepted update descends.
 Seeds never move. Because updates read only the snapshot, the result is
 independent of visit order and worker count.
 
-With threads=N > 1 a round runs in forked worker processes, not threads
-(the median and Vincenty kernels are pure Python, so threads would serialize
-on the interpreter lock). One pool is built per round, after that round's
-frozen snapshot is in place: the network, the config and the snapshot sit in
-a module-level round context that the workers inherit copy-on-write, so no
-input is serialized. Each worker computes the updates of contiguous chunks of
-candidates and sends back only (user, point, dispersion) triples, gathered in
-candidate order. The optional descent check runs in node_update, in the
-workers, and costs one more variation sum per located node that moved within
-the median tolerance. The pool has no more workers than usable CPUs, nor
-than one per 32 candidates, and forks them all before it starts its own
-manager thread, so the solver forks a process with no other threads unless
-its caller started some. A round that would get fewer than two workers, or
-that has no fork start method to use, runs serially.
+A round is one map of node_update over the candidates, serial or, with
+threads=N > 1, in forked worker processes, not threads (the median and
+Vincenty kernels are pure Python, so threads would serialize on the
+interpreter lock). One pool is forked per round, after that round's frozen
+snapshot is in place: the snapshot, the network and the config reach the
+workers as the pool initializer's arguments, inherited at fork, so no input
+is serialized. Each worker takes about 8 chunks of the candidates, and the
+pool sends back one result per candidate, in candidate order, which the
+parent applies as it does the serial results. A worker exits
+when its parent process dies. The optional descent check runs in node_update
+and costs one more variation sum per located node that moved within the
+median tolerance. The pool has no more workers than usable CPUs, nor than
+one per 32 candidates, and forks them all before it starts its own manager
+thread, so the solver forks a process with no other threads unless its
+caller started some. A round that would get fewer than two workers, or that
+has no fork to use, runs serially.
 """
 
 from __future__ import annotations
@@ -92,15 +94,10 @@ def nodal_variation(
 ) -> float | None:
     """Weighted sum of distances from candidate to i's located neighbors, or
     None when no neighbor is located (distinct from a zero variation)."""
-    total = 0.0
-    any_located = False
-    for neighbor, weight in network.neighbors(i):
-        est = state.located.get(neighbor)
-        if est is None:
-            continue
-        any_located = True
-        total += weight * geodesic_distance(candidate, est.point)
-    return total if any_located else None
+    points, weights = _located_neighbors(i, state.located, network)
+    if not points:
+        return None
+    return _weighted_sum(weights, [geodesic_distance(candidate, p) for p in points])
 
 
 def node_update(
@@ -114,14 +111,8 @@ def node_update(
     iteration-k snapshot, or None when i has no located neighbors, the
     candidate's dispersion exceeds gamma, or the candidate would increase the
     variation of a located i. check_descent: as for infer."""
-    points: list[GeoPoint] = []
-    weights: list[float] = []
     located = state.located
-    for neighbor, weight in network.neighbors(i):
-        est = located.get(neighbor)
-        if est is not None:
-            points.append(est.point)
-            weights.append(float(weight))
+    points, weights = _located_neighbors(i, located, network)
     if not points:
         return None
     neighbor_set = WeightedPointSet(tuple(points), tuple(weights))
@@ -138,9 +129,7 @@ def node_update(
         # A move within the median tolerance satisfies the descent bound by
         # the 1-Lipschitz property; check_descent verifies that claim.
         return candidate, disp
-    variation = 0.0
-    for weight, distance in zip(weights, distances):
-        variation += weight * distance  # nodal_variation's order and rounding
+    variation = _weighted_sum(weights, distances)
     old_variation = nodal_variation(i, previous.point, state, network)
     if moved and variation > old_variation:
         # Hemisphere-spanning neighbor sets make the median fall back to the
@@ -164,7 +153,6 @@ def infer(
     *,
     threads: int = 1,
     check_descent: bool = False,
-    _node_order: Sequence[int] | None = None,
 ) -> tuple[EstimateState, list[IterationStats]]:
     """Run the bulk-synchronous solver for cfg.iterations rounds.
 
@@ -178,10 +166,7 @@ def infer(
         user: LocationEstimate(user, point, math.nan, SOURCE_SEED, 0)
         for user, point in sorted(seeds.items())
     }
-    if _node_order is None:
-        candidates = [u for u in network.nodes() if u not in seeds]
-    else:
-        candidates = [u for u in _node_order if u not in seeds]
+    candidates = [u for u in network.nodes() if u not in seeds]
 
     reports: list[IterationStats] = []
     for k in range(1, cfg.iterations + 1):
@@ -224,9 +209,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The round context the forked workers inherit: (candidates, snapshot,
-# network, cfg, check_descent) while a round's pool is alive, None otherwise;
-# infer is not reentrant across threads of one process when threads > 1.
+def _located_neighbors(
+    i: int, located: Mapping[int, LocationEstimate], network: SocialNetwork
+) -> tuple[list[GeoPoint], list[float]]:
+    """The points of i's located neighbors and their edge weights as floats,
+    in adjacency order."""
+    points: list[GeoPoint] = []
+    weights: list[float] = []
+    for neighbor, weight in network.neighbors(i):
+        est = located.get(neighbor)
+        if est is not None:
+            points.append(est.point)
+            weights.append(float(weight))
+    return points, weights
+
+
+def _weighted_sum(weights: Iterable[float], distances: Iterable[float]) -> float:
+    """The one order and rounding of every variation sum."""
+    total = 0.0
+    for weight, distance in zip(weights, distances):
+        total += weight * distance
+    return total
+
+
+# The round context (snapshot, network, cfg, check_descent) of a forked
+# worker, set by its initializer; the parent never sets it.
 _ROUND: tuple | None = None
 
 
@@ -238,54 +245,54 @@ def _round_updates(
     threads: int,
     check_descent: bool,
 ) -> list[tuple[int, GeoPoint, float]]:
+    """(user, point, dispersion) of every accepted update, in candidate order."""
+    context = (snapshot, network, cfg, check_descent)
     # A worker takes about 8 chunks and at least 32 candidates, so a round of
     # fewer than 64 candidates runs serially, as does any one-worker pool.
     workers = min(threads, _usable_cpus(), len(candidates) // 32)
-    if workers < 2:
-        return _updates_for(candidates, snapshot, network, cfg, check_descent)
-    # Imported here: the process-pool modules add ~2 MB of resident memory
-    # that serial runs never use.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    if workers < 2 or not hasattr(os, "fork"):
+        results = [node_update(node, *context) for node in candidates]
+    else:
+        # Imported here: the process-pool modules add ~2 MB of resident memory
+        # that serial runs never use.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return _updates_for(candidates, snapshot, network, cfg, check_descent)
-    chunk_size = -(-len(candidates) // (workers * 8))
-    starts = range(0, len(candidates), chunk_size)
-    stops = [start + chunk_size for start in starts]  # slicing clamps the last
-    global _ROUND
-    _ROUND = (candidates, snapshot, network, cfg, check_descent)
-    try:
         with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_enter_round,
+            initargs=context,
         ) as pool:
-            results = pool.map(_round_chunk, starts, stops)
-            return [update for chunk_updates in results for update in chunk_updates]
-    finally:
-        _ROUND = None
+            chunksize = -(-len(candidates) // (8 * workers))
+            results = list(pool.map(_round_update, candidates, chunksize=chunksize))
+    return [(node, *update) for node, update in zip(candidates, results) if update is not None]
 
 
-def _round_chunk(start: int, stop: int) -> list[tuple[int, GeoPoint, float]]:
-    """Worker entry point: the updates of candidates[start:stop] against the
-    inherited round context. GeoPoint results unpickle through the dataclass
-    __setstate__, so longitudes come back bit-exact, never re-normalized."""
-    candidates, snapshot, network, cfg, check_descent = _ROUND
-    return _updates_for(candidates[start:stop], snapshot, network, cfg, check_descent)
+def _enter_round(*context) -> None:
+    """Worker initializer: keep the round context, inherited at fork and
+    never pickled, and exit as soon as the parent process is gone."""
+    import multiprocessing
+    import threading
+
+    global _ROUND
+    _ROUND = context
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def exit_with_parent() -> None:
+        # EOF once the parent, and every sibling forked after this worker
+        # (each holds a copy of the pipe's write end), has exited.
+        os.read(sentinel, 1)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
-def _updates_for(
-    nodes: Iterable[int],
-    snapshot: EstimateState,
-    network: SocialNetwork,
-    cfg: SolverConfig,
-    check_descent: bool,
-) -> list[tuple[int, GeoPoint, float]]:
-    out = []
-    for node in nodes:
-        update = node_update(node, snapshot, network, cfg, check_descent)
-        if update is not None:
-            out.append((node, *update))
-    return out
+def _round_update(node: int) -> tuple[GeoPoint, float] | None:
+    """Worker entry point: node_update against the round context. GeoPoint
+    results unpickle through the dataclass __setstate__, so longitudes come
+    back bit-exact, never re-normalized."""
+    return node_update(node, *_ROUND)
 
 
 def _with_seed_dispersions(
@@ -298,9 +305,7 @@ def _with_seed_dispersions(
     out = dict(located)
     for user in seeds:
         estimate = out[user]
-        points = [
-            out[j].point for j, _ in network.neighbors(user) if j in out
-        ]
+        points, _ = _located_neighbors(user, out, network)
         if points:
             disp = dispersion(estimate.point, WeightedPointSet.unweighted(points))
         else:
@@ -347,6 +352,10 @@ def read_estimates_file(path: str | Path) -> EstimateState:
             if source not in (SOURCE_SEED, SOURCE_INFERRED):
                 raise ValueError(f"unknown source {source!r}")
             first = _tsv.parse_int(fields[5], "first_located_iteration")
+            if source == SOURCE_SEED and first != 0:
+                raise ValueError(f"seed row with first_located_iteration {first}, expected 0")
+            if source == SOURCE_INFERRED and first < 1:
+                raise ValueError(f"inferred row with first_located_iteration {first}, expected >= 1")
             if user in located:
                 raise ValueError(f"duplicate estimate for user {user}")
             located[user] = LocationEstimate(user, point, disp, source, first)

@@ -34,6 +34,12 @@ _REWIRE_ATTEMPTS = 50
 # exploits); 8 candidates in a 15 km disc give typical tie lengths of ~4 km.
 _PARTNER_CANDIDATES = 8
 
+# A city gives up after this many draws in a row that add no edge: the
+# nearest-partner rule rarely draws the last far pairs of a nearly complete
+# city, so a feasible target can still take unbounded time. The benchmark
+# config's longest run is 3 draws.
+_MAX_IDLE_DRAWS = 100_000
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -145,8 +151,14 @@ def _intra_city_edges(
                 f"mean degree {cfg.intra_edge_mean_degree} infeasible for "
                 f"{n} users per city"
             )
-        added = 0
+        added = idle = 0
         while added < target:
+            if idle == _MAX_IDLE_DRAWS:
+                raise ValueError(
+                    f"mean degree {cfg.intra_edge_mean_degree} too dense for "
+                    f"{n} users per city: {_MAX_IDLE_DRAWS} draws in a row added no edge"
+                )
+            idle += 1
             u = members[rng.randrange(n)]
             partner = None
             nearest = math.inf
@@ -165,6 +177,7 @@ def _intra_city_edges(
             edge_set.add(key)
             edge_list.append(key)
             added += 1
+            idle = 0
     return edge_list, edge_set
 
 

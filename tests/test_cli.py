@@ -34,7 +34,7 @@ def seeds_line(user, point, source="gps", spread=0.0):
     return f"{user}\t{point.lat!r}\t{point.lon!r}\t{source}\t{spread!r}\n"
 
 
-def _die_in_worker(start, stop):
+def _die_in_worker(node):
     os._exit(1)  # as an OOM-killed worker would
 
 
@@ -130,6 +130,24 @@ class TestSeed:
         )
         assert code == 1
         assert "gazetteer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--now", str(NOW)], "--gazetteer is required when --profiles is given"),
+            (["--gazetteer", "absent-gaz.tsv"], "--now is required when --profiles is given"),
+        ],
+        ids=["no-gazetteer", "no-now"],
+    )
+    def test_profile_companions_are_checked_before_any_input_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        absent = str(tmp_path / "absent.tsv")
+        out = tmp_path / "seeds.tsv"
+        code = main(["seed", "--gps", absent, "--profiles", absent, *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_non_finite_now_fails(self, tmp_path, inputs, capsys):
         _, claims, gazetteer = inputs
@@ -257,7 +275,7 @@ class TestInfer:
         assert not out.exists()
 
     def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(solver, "_round_chunk", _die_in_worker)
+        monkeypatch.setattr(solver, "_round_update", _die_in_worker)
         monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)  # a pool on any host
         p = GeoPoint(40.0, -3.0)
         network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
@@ -472,6 +490,32 @@ class TestEvalCommand:
         assert "error: --sweep: expected comma-separated gamma values, got '10,abc'" in (
             capsys.readouterr().err
         )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("10,0", "--sweep: gamma must be positive, got 0.0"),
+            (",", "--sweep: gamma list must not be empty"),
+        ],
+        ids=["zero-gamma", "no-gamma"],
+    )
+    def test_bad_sweep_gamma_fails_before_any_input_is_read(
+        self, tmp_path, capsys, sweep, message
+    ):
+        absent = str(tmp_path / "absent.tsv")
+        out_dir = tmp_path / "r"
+        code = main(
+            [
+                "eval", absent, absent,
+                "--out-dir", str(out_dir),
+                "--sweep", sweep,
+                "--network", absent,
+                "--train-seeds", absent,
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
     def test_city_accuracy_in_report(self, tmp_path, exact_fixture):

@@ -3,6 +3,12 @@ import math
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -207,15 +213,16 @@ class TestInfer:
         unconstrained, _ = spatial_label_propagation(net, {1: P, 2: Q}, iterations=1)
         assert 3 in unconstrained.located
 
-    def test_visit_order_does_not_change_the_result(self):
+    def test_visit_order_does_not_change_the_result(self, monkeypatch):
         rng = random.Random(404)
         net, seeds = random_city_fixture(rng)
         cfg = SolverConfig(iterations=3)
         reference, _ = infer(net, seeds, cfg)
-        order = [u for u in net.nodes()]
+        order = list(net.nodes())
+        monkeypatch.setattr(SocialNetwork, "nodes", lambda self: tuple(order))
         for _ in range(3):
             rng.shuffle(order)
-            permuted, _ = infer(net, seeds, cfg, _node_order=order)
+            permuted, _ = infer(net, seeds, cfg)
             assert estimates_text(permuted) == estimates_text(reference)
 
     def test_thread_count_does_not_change_the_result(self):
@@ -313,6 +320,59 @@ class TestInfer:
         assert raised.value.args[0] != os.getpid()  # raised in a worker
         assert multiprocessing.active_children() == []
         assert solver._ROUND is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc"), reason="Linux only")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # The child's workers record their pids and sleep in node_update;
+        # SIGKILL gives the child no chance to shut its pool down.
+        child = textwrap.dedent(
+            """
+            import os, sys, time
+            from tvgeo import solver
+            from tvgeo.geodesy import GeoPoint
+            from tvgeo.graph import SocialNetwork
+
+            def record_and_sleep(*args):
+                open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+                time.sleep(60)
+
+            solver.node_update = record_and_sleep
+            solver._usable_cpus = lambda: 2
+            net = SocialNetwork.from_edges((1, u, 1) for u in range(2, 100))
+            solver.infer(net, {1: GeoPoint(40.0, -3.0)}, threads=2)
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.iterdir())) < 2:
+                assert time.monotonic() < deadline, "the workers never started"
+                assert proc.poll() is None, "the child exited early"
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.wait()
+        workers = [int(path.name) for path in tmp_path.iterdir()]
+
+        def alive(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leaked = [pid for pid in workers if alive(pid)]
+        for pid in leaked:
+            os.kill(pid, signal.SIGKILL)
+        assert leaked == []
 
     def test_isolated_seed_passes_through(self):
         net = SocialNetwork.from_edges([(1, 2, 1)])

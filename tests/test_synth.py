@@ -6,6 +6,7 @@ from tvgeo.geodesy import geodesic_distance
 from tvgeo.graph import read_network_file
 from tvgeo.ground_truth import read_seeds_file
 from tvgeo.evaluation import CityTable, read_truth_file
+from tvgeo import synth
 from tvgeo.synth import SynthConfig, generate, write_synth_files
 
 
@@ -132,6 +133,22 @@ class TestGenerate:
     def test_infeasible_separation_fails_explicitly(self):
         with pytest.raises(ValueError, match="cannot place"):
             generate(cfg_with(num_cities=100, city_radius_km=1000.0))
+
+    def test_city_too_dense_to_fill_fails_explicitly(self, monkeypatch):
+        # 45 of 45 pairs is feasible, but nearest-of-8 partners almost never
+        # draw the last far pairs; the bound is lowered to keep the test fast.
+        monkeypatch.setattr(synth, "_MAX_IDLE_DRAWS", 2_000)
+        with pytest.raises(ValueError) as raised:
+            generate(cfg_with(num_cities=1, users_per_city=10, intra_edge_mean_degree=9.0))
+        assert str(raised.value) == (
+            "mean degree 9.0 too dense for 10 users per city: "
+            "2000 draws in a row added no edge"
+        )
+
+    def test_dense_city_that_fills_still_generates(self):
+        # The longest run of draws that add no edge here is 5,425.
+        cfg = cfg_with(num_cities=1, users_per_city=10, intra_edge_mean_degree=8.0, rng_seed=1)
+        assert generate(cfg).network.num_edges == 40
 
     def test_city_names_are_real_and_unique(self):
         result = generate(cfg_with(num_cities=10))

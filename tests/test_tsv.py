@@ -24,6 +24,16 @@ OUT_OF_RANGE = "latitude 91.0 outside [-90, 90]"
         (read_seeds_file, "1\t91.0\t2.35\tgps\t0.0", OUT_OF_RANGE),
         (read_seeds_file, "1\t48.85\t2.35\toracle\t0.0", "unknown seed source 'oracle'"),
         (read_estimates_file, "1\t91.0\t2.35\t0.0\tseed\t0", OUT_OF_RANGE),
+        (
+            read_estimates_file,
+            "2\t48.85\t2.35\tnan\tseed\t4",
+            "seed row with first_located_iteration 4, expected 0",
+        ),
+        (
+            read_estimates_file,
+            "1\t48.85\t2.35\t0.0\tinferred\t-3",
+            "inferred row with first_located_iteration -3, expected >= 1",
+        ),
         (read_gps_events_file, "1\t48.85\t2.35\tnan", "timestamp must be finite, got nan"),
         (read_profile_claims_file, "1\tinf\tParis", "observed_at must be finite, got inf"),
         (CityTable.from_tsv, "Paris\t48.85\t2.35\t-1", "population must be >= 0, got -1"),
