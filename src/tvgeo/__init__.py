@@ -14,13 +14,11 @@ from .ground_truth import (
     Gazetteer,
     GpsEvent,
     GroundTruthRecord,
-    MobilityStats,
     ProfileClaim,
     gazetteer_home,
     gps_home,
     max_speed,
     merge_seeds,
-    mobility_stats,
     seed_points,
 )
 from .robust_stats import WeightedPointSet, dispersion, geodesic_l1_median, mad_spread
@@ -67,13 +65,11 @@ __all__ = [
     "GpsEvent",
     "ProfileClaim",
     "GroundTruthRecord",
-    "MobilityStats",
     "Gazetteer",
     "gps_home",
     "max_speed",
     "gazetteer_home",
     "merge_seeds",
-    "mobility_stats",
     "seed_points",
     "SolverConfig",
     "LocationEstimate",

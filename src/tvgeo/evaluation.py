@@ -12,7 +12,7 @@ from statistics import fmean, median as _scalar_median
 from typing import Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from . import _tsv
-from .geodesy import GeoPoint, _unit_vector, geodesic_distance
+from .geodesy import GeoPoint, _unit_vector, geodesic_distance, near_ties
 from .graph import SocialNetwork
 from .solver import EstimateState, LocationEstimate, SolverConfig, infer
 
@@ -161,12 +161,14 @@ def city_accuracy(
     entries = [e for e in cities.entries if e.population >= min_population]
     if not entries:
         raise ValueError("city table is empty after the population filter")
-    vectors = [(_unit_vector(e.point), e) for e in entries]
+    vectors = [_unit_vector(e.point) for e in entries]
     located = 0
     correct = 0
     for estimate, truth in _located(estimates, test):
         located += 1
-        if _nearest_city(vectors, estimate.point) == _nearest_city(vectors, truth):
+        if _nearest_city(entries, vectors, estimate.point) == _nearest_city(
+            entries, vectors, truth
+        ):
             correct += 1
     return correct / located if located else 0.0
 
@@ -221,27 +223,14 @@ def _located(
 
 
 def _nearest_city(
-    vectors: list[tuple[tuple[float, float, float], CityEntry]], point: GeoPoint
+    entries: list[CityEntry], vectors: list[tuple[float, float, float]], point: GeoPoint
 ) -> str:
-    # Chord-distance prefilter, exact geodesic comparison among near-ties.
-    # A 2% margin comfortably covers sphere-vs-ellipsoid ranking differences.
-    px, py, pz = _unit_vector(point)
-    best_dot = -2.0
-    dots = []
-    for (vx, vy, vz), entry in vectors:
-        d = px * vx + py * vy + pz * vz
-        dots.append(d)
-        if d > best_dot:
-            best_dot = d
-    best_angle = math.acos(max(-1.0, min(1.0, best_dot)))
-    cutoff = math.cos(min(math.pi, best_angle * 1.02 + 1e-6))
-    candidates = [
-        entry for (_, entry), d in zip(vectors, dots) if d >= cutoff
-    ]
-    best = min(
-        candidates,
-        key=lambda e: (geodesic_distance(point, e.point), -e.population, e.name),
-    )
+    # The chord bound leaves geodesic_distance only the cities that might be
+    # nearest; ties break toward the larger population, then the name.
+    ties = [entries[k] for k in near_ties(_unit_vector(point), vectors)]
+    if len(ties) == 1:
+        return ties[0].name
+    best = min(ties, key=lambda e: (geodesic_distance(point, e.point), -e.population, e.name))
     return best.name
 
 

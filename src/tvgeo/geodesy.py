@@ -170,6 +170,53 @@ def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
     return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
 
 
+# Chord ratio within which near_ties keeps a point: above the WGS84 spread
+# (1 - e^2)^(-3/2) = 1.0101 of geodesic length per unit-sphere angle.
+NEAR_TIE_RATIO = 1.02
+_NEAR_TIE_RATIO_SQ = NEAR_TIE_RATIO * NEAR_TIE_RATIO
+# (1 m)^2 in squared unit-sphere chord units.
+_NEAR_TIE_SLACK = (1e-3 / WGS84_A_KM) ** 2
+
+
+def near_ties(
+    origin: tuple[float, float, float], vectors: list[tuple[float, float, float]]
+) -> list[int]:
+    """Indices, in input order, of the unit vectors (at least one, from
+    _unit_vector) whose point may be geodesically nearest to origin's.
+
+    Index i is kept when its squared chord c_i^2 to origin is at most
+    r^2 c_min^2 + t^2, with r = NEAR_TIE_RATIO and t = 1 m on the unit
+    sphere, so only the survivors need ranking by geodesic_distance. No
+    dropped index can be a geodesic nearest:
+
+    - Geodetic latitude and longitude map the unit sphere onto the ellipsoid
+      with local scale M northward and N eastward, the meridian and prime
+      vertical radii, both within [a(1 - e^2), a / sqrt(1 - e^2)]. Every
+      curve's length, so also the geodesic s, lies between those radii times
+      the unit-sphere central angle sigma: a spread of (1 - e^2)^(-3/2) =
+      1.0101. The spherical fallback uses the mean radius, inside the bounds.
+    - The chord c = 2 sin(sigma / 2) is concave on [0, 2 pi] with c(0) = 0,
+      so c(r sigma) <= r c(sigma) for r >= 1, and c is increasing up to pi.
+      Hence a chord ratio above r implies an angle ratio above r (when
+      r sigma_min > pi, r c_min >= 2 already, and no chord exceeds it).
+    - A dropped i thus has sigma_i > 1.02 sigma_j, where j has the smallest
+      chord, so s_j < (1.0101 / 1.02) s_i: s_i is longer by 0.97% of itself.
+      That is over 9 mm when the slack decides (c_i above 1 m, s_i above
+      0.99 m), far more than Vincenty's sub-millimetre error.
+    - A chord computed from _unit_vector outputs is off by at most ~2e-15
+      (~13 um). The slack lifts the bound on c by t^2 / (sqrt(r^2 c^2 + t^2)
+      + r c) >= 6e-15 > (1 + r) * 2e-15 for every c <= 2, so rounding cannot
+      drop a point that the exact chords would keep.
+    """
+    ox, oy, oz = origin
+    chords = []
+    for x, y, z in vectors:
+        dx, dy, dz = x - ox, y - oy, z - oz
+        chords.append(dx * dx + dy * dy + dz * dz)
+    bound = _NEAR_TIE_RATIO_SQ * min(chords) + _NEAR_TIE_SLACK
+    return [i for i, c in enumerate(chords) if c <= bound]
+
+
 def destination(start: GeoPoint, bearing_deg: float, distance_km: float) -> GeoPoint:
     """Point reached from start after distance_km along the geodesic with the
     given initial bearing (Vincenty's direct method)."""

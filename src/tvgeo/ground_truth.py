@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import fmean, median as _scalar_median
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import _tsv
@@ -63,14 +62,6 @@ class GroundTruthRecord:
             raise ValueError(f"unknown seed source {self.source!r}")
         if not math.isfinite(self.spread_km) or self.spread_km < 0.0:
             raise ValueError(f"spread must be non-negative, got {self.spread_km!r}")
-
-
-@dataclass(frozen=True)
-class MobilityStats:
-    user: int
-    mean_radius_km: float
-    median_radius_km: float
-    max_speed_kmh: float
 
 
 def normalize_place(text: str) -> str:
@@ -187,23 +178,6 @@ def merge_seeds(
     for record in gps_records:
         merged[record.user] = record
     return dict(sorted(merged.items()))
-
-
-def mobility_stats(events: Sequence[GpsEvent]) -> MobilityStats | None:
-    """Activity radii (mean/median distance from home) and max speed for one
-    user; None with fewer than three events."""
-    if len(events) < MIN_GPS_EVENTS:
-        return None
-    ordered = _sorted_single_user(events)
-    point_set = WeightedPointSet.unweighted(e.point for e in ordered)
-    home = geodesic_l1_median(point_set)
-    radii = [geodesic_distance(home, p) for p in point_set.points]
-    return MobilityStats(
-        user=ordered[0].user,
-        mean_radius_km=fmean(radii),
-        median_radius_km=float(_scalar_median(radii)),
-        max_speed_kmh=max_speed(ordered),
-    )
 
 
 def gps_homes(events: Iterable[GpsEvent]) -> dict[int, GroundTruthRecord]:

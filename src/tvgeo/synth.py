@@ -17,7 +17,7 @@ from typing import Mapping, TextIO
 from . import _tsv
 from .cities import CURATED_CITIES
 from .evaluation import CityEntry, CityTable
-from .geodesy import GeoPoint, destination, geodesic_distance
+from .geodesy import GeoPoint, _unit_vector, destination, geodesic_distance, near_ties
 from .graph import SocialNetwork
 from .ground_truth import SOURCE_GPS, GroundTruthRecord
 
@@ -144,6 +144,8 @@ def _intra_city_edges(
         n = len(members)
         if n < 2:
             continue
+        points = [truth[user] for user in members]
+        vectors = [_unit_vector(p) for p in points]
         target = round(n * cfg.intra_edge_mean_degree / 2.0)
         max_edges = n * (n - 1) // 2
         if target > max_edges:
@@ -159,19 +161,19 @@ def _intra_city_edges(
                     f"{n} users per city: {_MAX_IDLE_DRAWS} draws in a row added no edge"
                 )
             idle += 1
-            u = members[rng.randrange(n)]
-            partner = None
-            nearest = math.inf
-            for _ in range(_PARTNER_CANDIDATES):
-                v = members[rng.randrange(n)]
-                if v == u:
-                    continue
-                d = geodesic_distance(truth[u], truth[v])
-                if d < nearest:
-                    nearest, partner = d, v
-            if partner is None:
+            i = rng.randrange(n)
+            draws = [rng.randrange(n) for _ in range(_PARTNER_CANDIDATES)]
+            draws = [j for j in draws if j != i]
+            if not draws:
                 continue
-            key = (u, partner) if u < partner else (partner, u)
+            # The nearest draw, first on ties; the chord bound leaves
+            # geodesic_distance only the draws that might be nearest.
+            ties = [draws[k] for k in near_ties(vectors[i], [vectors[j] for j in draws])]
+            partner = ties[0]
+            if any(j != partner for j in ties):
+                partner = min(ties, key=lambda j: geodesic_distance(points[i], points[j]))
+            u, v = members[i], members[partner]
+            key = (u, v) if u < v else (v, u)
             if key in edge_set:
                 continue
             edge_set.add(key)

@@ -6,11 +6,15 @@ import pytest
 
 from tvgeo.geodesy import (
     MEAN_RADIUS_KM,
+    NEAR_TIE_RATIO,
     WGS84_A_KM,
+    WGS84_F,
     GeoPoint,
+    _unit_vector,
     destination,
     geodesic_distance,
     geodesic_distance_detail,
+    near_ties,
 )
 
 from oracles import meridian_quadrant_km, oracle_distance_km
@@ -134,6 +138,98 @@ class TestDestination:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             destination(GeoPoint(0.0, 0.0), 0.0, -1.0)
+
+
+def _separation_km(rng) -> float:
+    """Log-uniform from 1 nm (below coordinate rounding, where the slack
+    decides) through 1 um and 1 m to 1,000 km."""
+    return 10.0 ** rng.uniform(-12.0, 3.0)
+
+
+def _near_tie_sets() -> list[tuple[GeoPoint, list[GeoPoint]]]:
+    """Seeded (origin, candidates) sets where near_ties' bound is tightest."""
+    rng = random.Random(9003)
+    sets = []
+    for _ in range(300):  # equator: short meridian scale against the parallel
+        origin = GeoPoint(0.0, rng.uniform(-180.0, 180.0))
+        d = _separation_km(rng)
+        # The meridian radius a(1 - e^2) is 0.67% below a, so chords rank
+        # the east-west points first although the north-south ones are nearer.
+        candidates = [destination(origin, rng.choice((90.0, 270.0)), d * rng.uniform(1.0, 1.008))
+                      for _ in range(4)]
+        candidates.insert(rng.randrange(5), destination(origin, rng.choice((0.0, 180.0)), d))
+        sets.append((origin, candidates))
+    for _ in range(200):  # at and beside a pole, where both radii are a / sqrt(1 - e^2)
+        origin = GeoPoint(rng.choice((90.0, -90.0, 89.99999, -89.9)), rng.uniform(-180.0, 180.0))
+        d = _separation_km(rng)
+        candidates = [destination(origin, rng.uniform(0.0, 360.0), d * rng.uniform(1.0, 1.012))
+                      for _ in range(6)]
+        sets.append((origin, candidates))
+    for _ in range(200):  # long meridian arcs from the equator to a pole against parallels
+        origin = GeoPoint(0.0, rng.uniform(-180.0, 180.0))
+        d = rng.uniform(5000.0, 10000.0)
+        candidates = [destination(origin, 0.0, d),
+                      destination(origin, 90.0, d * rng.uniform(1.0, 1.012)),
+                      destination(origin, rng.uniform(0.0, 360.0), d * rng.uniform(1.0, 1.012))]
+        rng.shuffle(candidates)
+        sets.append((origin, candidates))
+    for _ in range(300):  # any latitude, any bearing, within the WGS84 spread
+        origin = random_point(rng)
+        d = _separation_km(rng)
+        candidates = [destination(origin, rng.uniform(0.0, 360.0), d * rng.uniform(1.0, 1.012))
+                      for _ in range(8)]
+        sets.append((origin, candidates))
+    for _ in range(100):  # coincident and duplicated points
+        origin = random_point(rng)
+        near = [destination(origin, rng.uniform(0.0, 360.0), _separation_km(rng)) for _ in range(3)]
+        candidates = [rng.choice([origin, *near]) for _ in range(6)]
+        sets.append((origin, candidates))
+    sets.append((GeoPoint(10.0, 20.0), [GeoPoint(10.0, 20.0)] * 3))
+    for _ in range(200):  # near-antipodal, including exact antipodes
+        origin = random_point(rng, 60.0)
+        antipode = GeoPoint(-origin.lat, origin.lon + 180.0)
+        candidates = [GeoPoint(antipode.lat + rng.uniform(-0.5, 0.5), antipode.lon + rng.uniform(-0.5, 0.5))
+                      for _ in range(5)]
+        candidates.append(antipode)
+        rng.shuffle(candidates)
+        sets.append((origin, candidates))
+    for _ in range(200):  # exact distance ties: mirror images across the origin's meridian
+        origin = random_point(rng, 89.0)
+        d = _separation_km(rng)
+        bearing = rng.uniform(0.0, 180.0)
+        candidates = [destination(origin, rng.uniform(0.0, 360.0), d * rng.uniform(1.0, 1.012))
+                      for _ in range(3)]
+        candidates += [destination(origin, bearing, d), destination(origin, -bearing, d)]
+        rng.shuffle(candidates)
+        sets.append((origin, candidates))
+    return sets
+
+
+class TestNearTies:
+    def test_ratio_exceeds_the_wgs84_spread(self):
+        e_sq = WGS84_F * (2.0 - WGS84_F)
+        assert NEAR_TIE_RATIO > (1.0 - e_sq) ** -1.5
+
+    def test_first_geodesic_nearest_always_survives(self):
+        reordered = mirrored = pruned = 0
+        for origin, candidates in _near_tie_sets():
+            distances = [geodesic_distance(origin, p) for p in candidates]
+            nearest = distances.index(min(distances))
+            ties = near_ties(_unit_vector(origin), [_unit_vector(p) for p in candidates])
+            assert nearest in ties, (origin, candidates)
+            assert ties == sorted(set(ties))
+            chords = [math.dist(_unit_vector(origin), _unit_vector(p)) for p in candidates]
+            reordered += chords.index(min(chords)) != nearest
+            mirrored += distances.count(distances[nearest]) > 1
+            pruned += len(ties) < len(candidates)
+        # The sets reach what the bound is for: a chord-nearest point that is
+        # not the geodesic nearest, exact ties, and points it may drop.
+        assert reordered >= 400 and mirrored >= 200 and pruned >= 50, (reordered, mirrored, pruned)
+
+    def test_clear_winner_is_the_only_survivor(self):
+        origin = GeoPoint(40.0, -3.0)
+        candidates = [destination(origin, b, 10.0 + b / 36.0) for b in range(0, 360, 45)]
+        assert near_ties(_unit_vector(origin), [_unit_vector(p) for p in candidates]) == [0]
 
 
 def _kernel_pairs() -> list[tuple[GeoPoint, GeoPoint]]:

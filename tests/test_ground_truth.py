@@ -15,7 +15,6 @@ from tvgeo.ground_truth import (
     gps_homes,
     max_speed,
     merge_seeds,
-    mobility_stats,
     normalize_place,
     read_gps_events_file,
     read_profile_claims_file,
@@ -203,41 +202,6 @@ class TestMergeSeeds:
         merged = merge_seeds(gps, gaz)
         assert set(merged) == {1, 2, 3, 4}
         assert len(merged) == len({r.user for r in gps} | {r.user for r in gaz})
-
-
-class TestMobilityStats:
-    def test_stationary_user(self):
-        stats = mobility_stats([ev(1, HOME, 0.0), ev(1, HOME, HOUR), ev(1, HOME, 2 * HOUR)])
-        assert stats is not None
-        assert stats.mean_radius_km == 0.0
-        assert stats.median_radius_km == 0.0
-        assert stats.max_speed_kmh == 0.0
-
-    def test_two_home_events_one_trip(self):
-        far = destination(HOME, 90.0, 30.0)
-        stats = mobility_stats([ev(1, HOME, 0.0), ev(1, HOME, DAY), ev(1, far, 2 * DAY)])
-        assert stats is not None
-        # Median of {~0, ~0, ~30} distances from the median point.
-        assert stats.median_radius_km < 0.02
-        assert abs(stats.mean_radius_km - 10.0) < 0.02
-
-    def test_commuter_two_clusters(self):
-        work = destination(HOME, 90.0, 20.0)
-        events = [
-            ev(1, HOME, 0.0),
-            ev(1, HOME, DAY),
-            ev(1, HOME, 2 * DAY),
-            ev(1, HOME, 3 * DAY),
-            ev(1, work, 4 * DAY),
-            ev(1, work, 5 * DAY),
-        ]
-        stats = mobility_stats(events)
-        assert stats is not None
-        assert stats.median_radius_km < 0.02
-        assert abs(stats.mean_radius_km - 2.0 * 20.0 / 6.0) < 0.05
-
-    def test_requires_three_events(self):
-        assert mobility_stats([ev(1, HOME, 0.0), ev(1, HOME, HOUR)]) is None
 
 
 class TestGroupingHelpers:

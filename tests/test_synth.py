@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -182,3 +183,51 @@ class TestSynthFiles:
             user, city = line.split("\t")
             assignments[int(user)] = int(city)
         assert assignments == result.city_of
+
+
+# SHA-256 over the written network, truth and seeds files, recorded before
+# partner draws were ranked by the chord bound. Radii of 1 m and 1 mm put
+# whole cities inside the bound's 1 m slack; the 30-user city is dense.
+SYNTH_DIGESTS = [
+    ({}, "794026b1c65e3ae764c2938cbb46514a24e8fc1b2eb0b771404f9a4ac353ca03"),
+    (dict(num_cities=2, users_per_city=80, city_radius_km=0.001, rng_seed=12),
+     "5635d964669ed276687990e2640e5f150ff6d622f0047da67df79f365c44ca31"),
+    (dict(num_cities=2, users_per_city=80, city_radius_km=1e-6, rng_seed=13),
+     "f973de8977c2910ffd2a5308dff1bd9851aa09bc77da8bbe5c640b8dc8478fbd"),
+    (dict(num_cities=1, users_per_city=200, city_radius_km=0.01, rng_seed=14),
+     "8bc919f3f09594d4784b8c792039a8cb412869d2fe9e9898e3daad104eb2fcf8"),
+    (dict(num_cities=1, users_per_city=30, intra_edge_mean_degree=16.0,
+          inter_edge_fraction=0.0, rng_seed=15),
+     "de8b96d428959a7d6d2de2d4b8c68b629c3498753316c333efc62084030fb83c"),
+    (dict(num_cities=3, users_per_city=60, city_radius_km=300.0, rng_seed=16),
+     "b887c255bfab9472f916a136bcc1457efeeb7d08e76dc80fa78d6d02b1c0a497"),
+    (dict(num_cities=6, users_per_city=150, intra_edge_mean_degree=5.0,
+          seed_fraction=0.1, rng_seed=17),
+     "db3a6627d4d56b2cb66b2e00be241547528c3964144e0047a2a4c7b440ac6b6c"),
+]
+
+
+@pytest.mark.parametrize("overrides, expected", SYNTH_DIGESTS)
+def test_written_files_are_pinned(tmp_path, overrides, expected):
+    paths = write_synth_files(generate(cfg_with(**overrides)), tmp_path)
+    digest = hashlib.sha256()
+    for name in ("network", "truth", "seeds"):
+        digest.update(paths[name].read_bytes())
+    assert digest.hexdigest() == expected
+
+
+def test_partner_ranking_calls_vincenty_on_few_draws(monkeypatch):
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return geodesic_distance(a, b)
+
+    monkeypatch.setattr(synth, "geodesic_distance", counted)
+    cfg = cfg_with(num_cities=10, users_per_city=200, intra_edge_mean_degree=5.0)
+    generate(cfg)
+    # Every intra-city edge costs at least one draw of _PARTNER_CANDIDATES
+    # candidates, each of which took one call before the chord bound.
+    draws = cfg.num_cities * round(cfg.users_per_city * cfg.intra_edge_mean_degree / 2.0)
+    assert calls < 0.05 * draws * synth._PARTNER_CANDIDATES
