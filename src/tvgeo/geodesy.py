@@ -170,8 +170,16 @@ def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
     return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
 
 
+# The least and greatest radii of curvature on WGS84: a(1 - e^2), the meridian
+# radius at the equator, and a / sqrt(1 - e^2), both radii at a pole. A
+# geodesic is between them times its unit-sphere central angle (near_ties
+# proves it); the medoid bounds its objectives with them.
+_WGS84_E_SQ = WGS84_F * (2.0 - WGS84_F)
+MIN_RADIUS_KM = WGS84_A_KM * (1.0 - _WGS84_E_SQ)
+MAX_RADIUS_KM = WGS84_A_KM / math.sqrt(1.0 - _WGS84_E_SQ)
+
 # Chord ratio within which near_ties keeps a point: above the WGS84 spread
-# (1 - e^2)^(-3/2) = 1.0101 of geodesic length per unit-sphere angle.
+# MAX_RADIUS_KM / MIN_RADIUS_KM = (1 - e^2)^(-3/2) = 1.0101.
 NEAR_TIE_RATIO = 1.02
 _NEAR_TIE_RATIO_SQ = NEAR_TIE_RATIO * NEAR_TIE_RATIO
 # (1 m)^2 in squared unit-sphere chord units.
@@ -191,10 +199,15 @@ def near_ties(
 
     - Geodetic latitude and longitude map the unit sphere onto the ellipsoid
       with local scale M northward and N eastward, the meridian and prime
-      vertical radii, both within [a(1 - e^2), a / sqrt(1 - e^2)]. Every
-      curve's length, so also the geodesic s, lies between those radii times
-      the unit-sphere central angle sigma: a spread of (1 - e^2)^(-3/2) =
-      1.0101. The spherical fallback uses the mean radius, inside the bounds.
+      vertical radii, both within [MIN_RADIUS_KM, MAX_RADIUS_KM] =
+      [a(1 - e^2), a / sqrt(1 - e^2)]. So every curve on the ellipsoid is
+      at least MIN_RADIUS_KM times as long as its preimage on the unit
+      sphere, and the curve whose preimage is the great-circle arc is at
+      most MAX_RADIUS_KM * sigma long, sigma being the unit-sphere central
+      angle. The geodesic s, the shortest curve, lies between
+      MIN_RADIUS_KM * sigma and MAX_RADIUS_KM * sigma: a spread of
+      (1 - e^2)^(-3/2) = 1.0101. The spherical fallback uses the mean
+      radius, over 0.4% inside either bound.
     - The chord c = 2 sin(sigma / 2) is concave on [0, 2 pi] with c(0) = 0,
       so c(r sigma) <= r c(sigma) for r >= 1, and c is increasing up to pi.
       Hence a chord ratio above r implies an angle ratio above r (when

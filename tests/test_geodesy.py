@@ -5,7 +5,9 @@ import random
 import pytest
 
 from tvgeo.geodesy import (
+    MAX_RADIUS_KM,
     MEAN_RADIUS_KM,
+    MIN_RADIUS_KM,
     NEAR_TIE_RATIO,
     WGS84_A_KM,
     WGS84_F,
@@ -16,6 +18,7 @@ from tvgeo.geodesy import (
     geodesic_distance_detail,
     near_ties,
 )
+from tvgeo.robust_stats import _PAIR_SLACK_KM
 
 from oracles import meridian_quadrant_km, oracle_distance_km
 
@@ -230,6 +233,37 @@ class TestNearTies:
         origin = GeoPoint(40.0, -3.0)
         candidates = [destination(origin, b, 10.0 + b / 36.0) for b in range(0, 360, 45)]
         assert near_ties(_unit_vector(origin), [_unit_vector(p) for p in candidates]) == [0]
+
+
+class TestRadiusBracket:
+    """A computed distance lies within [MIN_RADIUS_KM, MAX_RADIUS_KM] times
+    the pair's unit-sphere chord angle, give or take the medoid's slack."""
+
+    def test_vincenty_and_fallback_distances_lie_within_the_bracket(self):
+        rng = random.Random(9004)
+        pairs = [(random_point(rng), random_point(rng)) for _ in range(1000)]
+        for _ in range(500):  # within 1 degree of antipodal, and exactly antipodal
+            a = random_point(rng, 60.0)
+            pairs.append((a, GeoPoint(-a.lat + rng.uniform(-1.0, 1.0), a.lon + 180.0 + rng.uniform(-1.0, 1.0))))
+            pairs.append((a, GeoPoint(-a.lat, a.lon + 180.0)))
+        pairs.append((GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)))
+        # Where each bound is tight: meridian arcs at the equator, any arc at a pole.
+        low = [(a, destination(a, rng.choice((0.0, 180.0)), 10.0 ** rng.uniform(-6.0, 3.0)))
+               for a in (GeoPoint(0.0, rng.uniform(-180.0, 180.0)) for _ in range(300))]
+        high = [(a, destination(a, rng.uniform(0.0, 360.0), 10.0 ** rng.uniform(-6.0, 3.0)))
+                for a in (GeoPoint(rng.choice((90.0, -90.0)), rng.uniform(-180.0, 180.0)) for _ in range(300))]
+        fallbacks = 0
+        low_ratio, high_ratio = math.inf, 0.0
+        for a, b in pairs + low + high:
+            distance = geodesic_distance_detail(a, b)
+            sigma = 2.0 * math.asin(min(1.0, 0.5 * math.dist(_unit_vector(a), _unit_vector(b))))
+            assert MIN_RADIUS_KM * sigma - _PAIR_SLACK_KM <= distance.km <= MAX_RADIUS_KM * sigma + _PAIR_SLACK_KM
+            fallbacks += distance.approximate
+            if sigma > 0.0:
+                low_ratio = min(low_ratio, distance.km / (MIN_RADIUS_KM * sigma))
+                high_ratio = max(high_ratio, distance.km / (MAX_RADIUS_KM * sigma))
+        assert fallbacks >= 500
+        assert low_ratio < 1.0 + 1e-6 and high_ratio > 1.0 - 1e-6, (low_ratio, high_ratio)
 
 
 def _kernel_pairs() -> list[tuple[GeoPoint, GeoPoint]]:

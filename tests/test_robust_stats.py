@@ -317,15 +317,119 @@ class TestMedoid:
         assert objectives[1] == objectives[-1] == min(objectives)
         assert _medoid(s) is first
 
-    def test_one_distance_call_per_unordered_pair(self, monkeypatch):
+    def test_medoid_is_the_first_argmin_on_adversarial_sets(self):
+        for s in _adversarial_medoid_sets():
+            objectives = [weighted_distance_sum(p, s) for p in s.points]
+            assert _medoid(s) is s.points[objectives.index(min(objectives))], s
+
+    def test_no_pair_is_measured_twice(self, monkeypatch):
+        index: dict[int, int] = {}
+        pairs = []
+
+        def recording(a, b):
+            pairs.append(frozenset((index[id(a)], index[id(b)])))
+            return geodesic_distance(a, b)
+
+        monkeypatch.setattr(robust_stats, "geodesic_distance", recording)
+        sets = _medoid_sets() + _adversarial_medoid_sets()
+        for s in sets:
+            # Distinct objects, so a call names its two indices.
+            s = WeightedPointSet(tuple(GeoPoint(p.lat, p.lon) for p in s.points), s.weights)
+            index = {id(p): i for i, p in enumerate(s.points)}
+            pairs.clear()
+            _medoid(s)
+            assert all(len(pair) == 2 for pair in pairs)
+            assert len(set(pairs)) == len(pairs) <= len(s) * (len(s) - 1) // 2
+
+    def test_city_clusters_make_few_distance_calls(self, monkeypatch):
         calls = []
 
         def counting(a, b):
-            calls.append((a, b))
+            calls.append(None)
             return geodesic_distance(a, b)
 
+        s = _city_cluster_set(random.Random(7005), 200)
         monkeypatch.setattr(robust_stats, "geodesic_distance", counting)
-        for s in _medoid_sets():
-            calls.clear()
-            _medoid(s)
-            assert len(calls) == len(s) * (len(s) - 1) // 2
+        _medoid(s)
+        assert len(calls) <= len(s) * (len(s) - 1) // 8
+
+
+def _city_cluster_set(rng: random.Random, n: int) -> WeightedPointSet:
+    """n points of 15 km city clusters, about five to a city, all over the
+    world, weighted like a hub's ties."""
+    cities = [_worldwide_point(rng) for _ in range(n // 5)]
+    points = [destination(rng.choice(cities), rng.uniform(0.0, 360.0), rng.uniform(0.0, 15.0))
+              for _ in range(n)]
+    return WeightedPointSet(tuple(points), tuple(1.0 + int(rng.expovariate(1.0)) for _ in points))
+
+
+def _adversarial_medoid_sets() -> list[WeightedPointSet]:
+    """Seeded sets built for exact and near ties of the medoid objective and
+    for the pairs the chord bracket finds hardest: regular polygons on the
+    equator, the octahedron, duplicated heavy points, exactly antipodal
+    pairs (the spherical fallback), both poles, points on either side of the
+    antimeridian, points on one meridian across the equator (a weighted
+    median of a line ties along a segment, and meridian arcs there are as
+    short as the bracket allows), mirror images, and n = 200 worldwide
+    sets."""
+    rng = random.Random(7004)
+    sets = []
+
+    def add(points, weights=None):
+        points = list(points)
+        if weights is None:
+            weights = [1.0] * len(points)
+        sets.append(WeightedPointSet(tuple(points), tuple(weights)))
+
+    for n in range(3, 13):  # regular polygons on the equator, alone and with a pole
+        start = rng.uniform(-180.0, 180.0)
+        polygon = [GeoPoint(0.0, start + 360.0 * i / n) for i in range(n)]
+        add(polygon)
+        add(polygon + [GeoPoint(rng.choice((90.0, -90.0)), 0.0)])
+        add(polygon, [float(rng.randint(1, 3)) for _ in polygon])
+    octahedron = [GeoPoint(0.0, 0.0), GeoPoint(0.0, 90.0), GeoPoint(0.0, 180.0),
+                  GeoPoint(0.0, -90.0), GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)]
+    add(octahedron)
+    for _ in range(5):
+        rng.shuffle(octahedron)
+        add(octahedron, [float(rng.randint(1, 2)) for _ in octahedron])
+    for _ in range(20):  # duplicated heavy points
+        heavy = _worldwide_point(rng)
+        points = [_worldwide_point(rng) for _ in range(rng.randint(2, 8))]
+        points += [GeoPoint(heavy.lat, heavy.lon) for _ in range(rng.randint(2, 4))]
+        rng.shuffle(points)
+        add(points, [4.0 if p == heavy else float(rng.randint(1, 2)) for p in points])
+    for _ in range(20):  # exactly antipodal pairs
+        points = []
+        for _ in range(rng.randint(1, 4)):
+            p = _worldwide_point(rng)
+            points += [p, GeoPoint(-p.lat, p.lon + 180.0)]
+        rng.shuffle(points)
+        add(points, [float(rng.randint(1, 2)) for _ in points])
+    for _ in range(20):  # both poles, at any longitude, with points between
+        points = [GeoPoint(90.0, rng.uniform(-180.0, 180.0)), GeoPoint(-90.0, rng.uniform(-180.0, 180.0))]
+        points += [_worldwide_point(rng) for _ in range(rng.randint(1, 5))]
+        rng.shuffle(points)
+        add(points, [float(rng.randint(1, 2)) for _ in points])
+    for _ in range(20):  # either side of the antimeridian, and its antipode
+        points = []
+        for _ in range(rng.randint(2, 4)):
+            lat, dlon = rng.uniform(-80.0, 80.0), 10.0 ** rng.uniform(-9.0, 0.0)
+            points += [GeoPoint(lat, 180.0 - dlon), GeoPoint(lat, -180.0 + dlon)]
+        points.append(GeoPoint(rng.uniform(-10.0, 10.0), rng.uniform(-1.0, 1.0)))
+        rng.shuffle(points)
+        add(points)
+    for _ in range(100):  # along one meridian across the equator: ties on the bracket's low edge
+        lon = rng.uniform(-180.0, 180.0)
+        points = [GeoPoint(rng.uniform(-30.0, 30.0), lon) for _ in range(rng.randint(3, 6))]
+        add(points, [float(rng.randint(1, 5)) for _ in points])
+    for _ in range(40):  # mirror images across the prime meridian: exact ties
+        half = [_worldwide_point(rng) for _ in range(rng.randint(2, 5))]
+        weights = [float(rng.randint(1, 3)) for _ in half]
+        points = half + [GeoPoint(p.lat, -p.lon) for p in half]
+        order = list(range(len(points)))
+        rng.shuffle(order)
+        add([points[i] for i in order], [(weights * 2)[i] for i in order])
+    add(_worldwide_point(rng) for _ in range(200))
+    sets.append(_city_cluster_set(rng, 200))
+    return sets
