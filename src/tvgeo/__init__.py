@@ -4,7 +4,6 @@ social graph by dispersion-constrained total-variation minimization."""
 from .geodesy import GeoPoint, destination, geodesic_distance, geodesic_distance_detail
 from .graph import (
     IngestReport,
-    MentionRecord,
     SocialNetwork,
     WeightedEdge,
     build_reciprocal_network,
@@ -21,7 +20,7 @@ from .ground_truth import (
     merge_seeds,
     seed_points,
 )
-from .robust_stats import WeightedPointSet, dispersion, geodesic_l1_median, mad_spread
+from .robust_stats import WeightedPointSet, dispersion, geodesic_l1_median
 from .solver import (
     EstimateState,
     IterationStats,
@@ -37,12 +36,9 @@ from .evaluation import (
     CityEntry,
     CityTable,
     EvalReport,
-    HoldoutSplit,
     city_accuracy,
-    error_histogram,
     evaluate,
     gamma_sweep,
-    holdout_split,
 )
 
 __version__ = "0.1.0"
@@ -55,8 +51,6 @@ __all__ = [
     "WeightedPointSet",
     "geodesic_l1_median",
     "dispersion",
-    "mad_spread",
-    "MentionRecord",
     "WeightedEdge",
     "SocialNetwork",
     "IngestReport",
@@ -82,14 +76,11 @@ __all__ = [
     "SynthConfig",
     "SynthResult",
     "generate",
-    "HoldoutSplit",
     "EvalReport",
     "CityEntry",
     "CityTable",
-    "holdout_split",
     "evaluate",
     "city_accuracy",
     "gamma_sweep",
-    "error_histogram",
     "__version__",
 ]

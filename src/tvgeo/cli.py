@@ -253,9 +253,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
             fh.write("iteration,newly_located,located_total\n")
             for row in stats:
                 fh.write(f"{row.iteration},{row.newly_located},{row.located_total}\n")
-    located_total = stats[-1].located_total if stats else len(seeds)
     print(
-        f"infer: {located_total} users located after {len(stats)} iterations "
+        f"infer: {stats[-1].located_total} users located after {len(stats)} iterations "
         f"({len(seeds)} seeds)",
         file=sys.stderr,
     )

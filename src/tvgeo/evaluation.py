@@ -1,31 +1,20 @@
-"""Leave-many-out evaluation: holdout splits, error metrics, per-iteration
-accuracy tables, gamma sweeps, error histograms, and nearest-city accuracy."""
+"""Leave-many-out evaluation: error metrics over the located held-out users
+(truth minus the seeds), per-iteration accuracy tables, gamma sweeps, and
+nearest-city accuracy."""
 
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean, median as _scalar_median
-from typing import Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import Iterator, Mapping, Sequence, TextIO
 
 from . import _tsv
 from .geodesy import GeoPoint, _unit_vector, geodesic_distance, near_ties
 from .graph import SocialNetwork
+from .ground_truth import _seed_row
 from .solver import EstimateState, LocationEstimate, SolverConfig, infer
-
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class HoldoutSplit:
-    train: dict[int, T]
-    test: dict[int, T]
-    rng_seed: int
-    fraction: float
-
 
 @dataclass(frozen=True)
 class IterationRow:
@@ -98,24 +87,6 @@ class CityTable:
         _tsv.write_header(fh, ("name", "lat", "lon", "population"))
         for e in self.entries:
             fh.write(f"{e.name}\t{e.point.lat!r}\t{e.point.lon!r}\t{e.population}\n")
-
-
-def holdout_split(
-    seeds: Mapping[int, T], fraction: float, rng_seed: int
-) -> HoldoutSplit:
-    """Deterministically split seeds into train/test with |test| =
-    round(fraction * |seeds|)."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
-    if len(seeds) < 2:
-        raise ValueError("need at least two seeds to split")
-    users = sorted(seeds)
-    k = round(fraction * len(users))
-    rng = random.Random(rng_seed)
-    test_users = set(rng.sample(users, k))
-    train = {u: seeds[u] for u in users if u not in test_users}
-    test = {u: seeds[u] for u in users if u in test_users}
-    return HoldoutSplit(train, test, rng_seed, fraction)
 
 
 def evaluate(estimates: EstimateState, test: Mapping[int, GeoPoint]) -> EvalReport:
@@ -195,23 +166,6 @@ def gamma_sweep(
     return rows
 
 
-def error_histogram(
-    estimates: EstimateState,
-    test: Mapping[int, GeoPoint],
-    bin_edges: Sequence[float],
-) -> list[int]:
-    """Counts of located-test-user errors per bin. Edges must be strictly
-    increasing; bin i covers [edge_{i-1}, edge_i) with an implicit overflow
-    bin above the last edge."""
-    edges = list(bin_edges)
-    if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("bin edges must be strictly increasing and non-empty")
-    counts = [0] * (len(edges) + 1)
-    for estimate, truth in _located(estimates, test):
-        counts[bisect_right(edges, geodesic_distance(estimate.point, truth))] += 1
-    return counts
-
-
 def _located(
     estimates: EstimateState, test: Mapping[int, GeoPoint]
 ) -> Iterator[tuple[LocationEstimate, GeoPoint]]:
@@ -269,30 +223,25 @@ def write_sweep_csv(rows: Sequence[SweepRow], fh: TextIO) -> None:
         )
 
 
-def write_histogram_csv(
-    bin_edges: Sequence[float], counts: Sequence[int], fh: TextIO
-) -> None:
-    """Plot-ready form of error_histogram output: one row per bin, the last
-    row being the overflow bin."""
-    if len(counts) != len(bin_edges) + 1:
-        raise ValueError("counts must have one more entry than bin_edges")
-    fh.write("bin_lower_km,bin_upper_km,count\n")
-    lowers = [0.0, *bin_edges]
-    uppers = [*bin_edges, math.inf]
-    for lower, upper, count in zip(lowers, uppers, counts):
-        fh.write(f"{lower!r},{upper!r},{count}\n")
-
-
 def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
-    """Read user->location truth from either a 3-column truth TSV or a
-    5-column seeds TSV (extra columns ignored)."""
+    """Read user->location truth from a 3-column truth TSV, or the homes of a
+    5-column seeds TSV parsed as read_seeds_file parses them. The first data
+    row sets the width; a row of another width fails at its line."""
     truth: dict[int, GeoPoint] = {}
+    width = None
     with _tsv.Rows(path) as rows:
         for fields in rows:
-            if len(fields) not in (3, 5):
-                raise ValueError(f"expected 3 (truth) or 5 (seeds) fields, got {len(fields)}")
-            user = _tsv.parse_int(fields[0], "user_id")
-            point = _tsv.parse_point(fields[1], fields[2])
+            if width is None:
+                width = len(fields)
+            if width == 5:
+                record = _seed_row(fields)
+                user, point = record.user, record.home
+            elif width == 3:
+                _tsv.require_fields(fields, 3)
+                user = _tsv.parse_int(fields[0], "user_id")
+                point = _tsv.parse_point(fields[1], fields[2])
+            else:
+                raise ValueError(f"expected 3 (truth) or 5 (seeds) fields, got {width}")
             if user in truth:
                 raise ValueError(f"duplicate truth for user {user}")
             truth[user] = point

@@ -11,14 +11,6 @@ from . import _tsv
 from .geodesy import GeoPoint, geodesic_distance
 
 
-class MentionRecord(NamedTuple):
-    """An aggregated directed mention count between two users."""
-
-    src: int
-    dst: int
-    count: int
-
-
 class WeightedEdge(NamedTuple):
     """An undirected reciprocated tie, canonically ordered u < v. Unchecked:
     SocialNetwork construction is the one edge check, and edges() yields only
@@ -110,11 +102,6 @@ class SocialNetwork:
         """(neighbor, weight) pairs of u, sorted by neighbor id; empty for
         unknown nodes."""
         return self._adjacency.get(u, ())
-
-    def degree(self, u: int) -> int:
-        """Neighbor count; 0 for absent nodes (check `u in net` to tell an
-        absent node from a present one, which always has degree >= 1)."""
-        return len(self._adjacency.get(u, ()))
 
     def __contains__(self, u: int) -> bool:
         return u in self._adjacency

@@ -97,9 +97,6 @@ class Gazetteer:
     def lookup(self, text: str) -> GeoPoint | None:
         return self._entries.get(normalize_place(text))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def max_speed(events: Sequence[GpsEvent]) -> float:
     """Maximum geodesic speed in km/h over consecutive event pairs.
@@ -253,15 +250,22 @@ def write_seeds_file(seeds: Mapping[int, GroundTruthRecord], fh: TextIO) -> None
         fh.write(f"{user}\t{r.home.lat!r}\t{r.home.lon!r}\t{r.source}\t{r.spread_km!r}\n")
 
 
+def _seed_row(fields: list[str]) -> GroundTruthRecord:
+    """The record of one seeds-file row; read_truth_file parses seeds with it
+    too."""
+    _tsv.require_fields(fields, 5)
+    user = _tsv.parse_int(fields[0], "user_id")
+    point = _tsv.parse_point(fields[1], fields[2])
+    spread = _tsv.parse_float(fields[4], "spread_km")
+    return GroundTruthRecord(user, point, fields[3], spread)
+
+
 def read_seeds_file(path: str | Path) -> dict[int, GroundTruthRecord]:
     seeds: dict[int, GroundTruthRecord] = {}
     with _tsv.Rows(path) as rows:
         for fields in rows:
-            _tsv.require_fields(fields, 5)
-            user = _tsv.parse_int(fields[0], "user_id")
-            point = _tsv.parse_point(fields[1], fields[2])
-            spread = _tsv.parse_float(fields[4], "spread_km")
-            if user in seeds:
-                raise ValueError(f"duplicate seed for user {user}")
-            seeds[user] = GroundTruthRecord(user, point, fields[3], spread)
+            record = _seed_row(fields)
+            if record.user in seeds:
+                raise ValueError(f"duplicate seed for user {record.user}")
+            seeds[record.user] = record
     return seeds

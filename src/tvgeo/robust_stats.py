@@ -27,7 +27,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from statistics import median as _scalar_median
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .geodesy import MEAN_RADIUS_KM, MIN_RADIUS_KM, GeoPoint, _unit_vector, geodesic_distance
 
@@ -204,12 +204,6 @@ def dispersion(center: GeoPoint, s: WeightedPointSet) -> float:
     return float(_scalar_median(geodesic_distance(center, p) for p in s.points))
 
 
-def mad_spread(points: Sequence[GeoPoint]) -> float:
-    """Median distance of the points from their own geodesic l1-median."""
-    s = WeightedPointSet.unweighted(points)
-    return dispersion(geodesic_l1_median(s), s)
-
-
 def _unproject(sin0: float, cos0: float, lon0: float, x: float, y: float) -> tuple[float, float]:
     """The point at (x, y) km in the tangent plane at (asin(sin0), lon0), as
     (lat, lon) degrees with the longitude not yet normalized."""
@@ -236,8 +230,11 @@ def _medoid(s: WeightedPointSet) -> GeoPoint:
     sums[k] less the slack and at most MAX_RADIUS_KM * sums[k] plus it.
     Candidates are scored exactly in ascending order of sums, that is of
     their upper bounds, and one whose lower bound exceeds the best objective
-    so far cannot win, not even a tie, so it is skipped. Every first argmin
-    is therefore scored, and (objective, index) picks it.
+    so far cannot win, not even a tie. In that order the lower bound only
+    rises while the best objective only falls, so once one candidate is
+    pruned every later one is too: the scored candidates are a prefix of
+    the order, and the loop stops at the first pruned one. Every first
+    argmin is therefore scored, and (objective, index) picks it.
 
     An exact objective is the fsum of the candidate's row of distances,
     whose diagonal is the exact 0.0 a point's distance to itself is. The
@@ -270,7 +267,7 @@ def _medoid(s: WeightedPointSet) -> GeoPoint:
     best_obj = math.inf
     for k in sorted(range(n), key=sums.__getitem__):
         if lo_scale * sums[k] - slack > best_obj:
-            continue
+            break
         p = points[k]
         row = array("d", bytes(8 * n))
         for j in range(n):

@@ -73,6 +73,11 @@ class LocationEstimate:
 
 @dataclass(frozen=True)
 class EstimateState:
+    """The located users and a round number that nothing in the package
+    reads. infer sets iteration to the number of rounds it ran;
+    read_estimates_file sets it to the last round that located a user,
+    which is lower when the last rounds located no one."""
+
     located: dict[int, LocationEstimate]
     iteration: int
 

@@ -1,6 +1,6 @@
 import io
 import math
-import random
+import re
 
 import pytest
 
@@ -8,17 +8,15 @@ from tvgeo.evaluation import (
     CityEntry,
     CityTable,
     city_accuracy,
-    error_histogram,
     evaluate,
     gamma_sweep,
-    holdout_split,
     read_truth_file,
     write_per_iteration_csv,
     write_report_csv,
     write_sweep_csv,
 )
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
-from tvgeo.ground_truth import seed_points
+from tvgeo.ground_truth import read_seeds_file, seed_points
 from tvgeo.solver import EstimateState, LocationEstimate, SolverConfig, infer, spatial_label_propagation
 from tvgeo.synth import SynthConfig, generate
 
@@ -47,43 +45,6 @@ def small_benchmark():
     train = seed_points(result.seeds)
     test = {u: p for u, p in result.truth.items() if u not in train}
     return result, train, test
-
-
-class TestHoldoutSplit:
-    def test_ten_percent_of_ten_is_one(self):
-        seeds = {u: HOME for u in range(10)}
-        split = holdout_split(seeds, 0.1, rng_seed=1)
-        assert len(split.test) == 1
-        assert len(split.train) == 9
-
-    def test_half_of_four_is_two_by_two(self):
-        seeds = {u: HOME for u in range(4)}
-        split = holdout_split(seeds, 0.5, rng_seed=1)
-        assert len(split.test) == 2 and len(split.train) == 2
-
-    def test_deterministic_given_seed(self):
-        seeds = {u: HOME for u in range(100)}
-        a = holdout_split(seeds, 0.25, rng_seed=9)
-        b = holdout_split(seeds, 0.25, rng_seed=9)
-        assert set(a.test) == set(b.test)
-        c = holdout_split(seeds, 0.25, rng_seed=10)
-        assert set(a.test) != set(c.test)
-
-    def test_partition_properties(self):
-        seeds = {u: HOME for u in range(37)}
-        split = holdout_split(seeds, 0.3, rng_seed=3)
-        assert set(split.train) | set(split.test) == set(seeds)
-        assert set(split.train) & set(split.test) == set()
-
-    def test_too_few_seeds_fail(self):
-        with pytest.raises(ValueError):
-            holdout_split({1: HOME}, 0.5, rng_seed=0)
-
-    def test_fraction_range_enforced(self):
-        seeds = {u: HOME for u in range(4)}
-        for fraction in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
-                holdout_split(seeds, fraction, rng_seed=0)
 
 
 class TestEvaluate:
@@ -225,42 +186,6 @@ class TestCityAccuracy:
             )
 
 
-class TestErrorHistogram:
-    def test_all_exact_fall_in_first_bin(self):
-        test = {u: HOME for u in range(5)}
-        state = state_with([located_at(u, HOME) for u in range(5)])
-        assert error_histogram(state, test, [10.0, 100.0]) == [5, 0, 0]
-
-    def test_empty_test_gives_zeros(self):
-        assert error_histogram(state_with([]), {}, [10.0, 100.0]) == [0, 0, 0]
-
-    def test_binning_definition_with_overflow(self):
-        test = {u: HOME for u in (1, 2, 3)}
-        state = state_with(
-            [
-                located_at(1, destination(HOME, 0.0, 5.0)),
-                located_at(2, destination(HOME, 0.0, 50.0)),
-                located_at(3, destination(HOME, 0.0, 5000.0)),
-            ]
-        )
-        assert error_histogram(state, test, [10.0, 100.0, 1000.0]) == [1, 1, 0, 1]
-
-    def test_edge_value_goes_to_upper_bin(self):
-        test = {1: HOME}
-        point = destination(HOME, 0.0, 10.0)
-        # Nudge to sit essentially on the edge; bisect puts >= edge upwards.
-        state = state_with([located_at(1, point)])
-        error = geodesic_distance(HOME, point)
-        counts = error_histogram(state, test, [error, 100.0])
-        assert counts == [0, 1, 0]
-
-    def test_bad_edges_rejected(self):
-        with pytest.raises(ValueError):
-            error_histogram(state_with([]), {}, [10.0, 10.0])
-        with pytest.raises(ValueError):
-            error_histogram(state_with([]), {}, [])
-
-
 class TestGammaSweep:
     def test_single_gamma_matches_direct_evaluation(self):
         result, train, test = small_benchmark()
@@ -316,18 +241,6 @@ class TestReportFiles:
         assert lines[0] == "iteration,located,newly_located,median_error_km,median_error_new_km"
         assert len(lines) == 1 + len(report.per_iteration)
 
-    def test_histogram_csv_is_plot_ready(self):
-        from tvgeo.evaluation import write_histogram_csv
-
-        buffer = io.StringIO()
-        write_histogram_csv([10.0, 100.0], [3, 2, 1], buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "bin_lower_km,bin_upper_km,count"
-        assert lines[1] == "0.0,10.0,3"
-        assert lines[3] == "100.0,inf,1"
-        with pytest.raises(ValueError):
-            write_histogram_csv([10.0], [1], io.StringIO())
-
     def test_sweep_csv_roundtrips_infinity(self):
         result, train, test = small_benchmark()
         rows = gamma_sweep(result.network, train, test, [math.inf], iterations=1)
@@ -354,3 +267,31 @@ class TestTruthFiles:
         path.write_text("1\t40.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_truth_file(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1\t10.0\t20.0\n2\t11.0\t21.0\tgps\t0.0\n",
+            "1\t10.0\t20.0\tgps\t0.0\n2\t11.0\t21.0\n",
+        ],
+    )
+    def test_rejects_a_row_wider_or_narrower_than_the_first(self, tmp_path, text):
+        path = tmp_path / "truth.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected"):
+            read_truth_file(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1\t10.0\t20.0\tbogus\t0.0", "unknown seed source 'bogus'"),
+            ("1\t10.0\t20.0\tgps\t-5.0", "spread must be non-negative"),
+            ("1\t10.0\t20.0\tgps\twide", "bad spread_km 'wide'"),
+        ],
+    )
+    def test_checks_seed_rows_as_the_seeds_reader_does(self, tmp_path, row, message):
+        path = tmp_path / "seeds.tsv"
+        path.write_text(f"{row}\n", encoding="utf-8")
+        for read in (read_truth_file, read_seeds_file):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {re.escape(message)}"):
+                read(path)

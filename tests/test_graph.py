@@ -4,7 +4,6 @@ import pytest
 
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
 from tvgeo.graph import (
-    MentionRecord,
     SocialNetwork,
     WeightedEdge,
     build_reciprocal_network,
@@ -45,11 +44,6 @@ class TestBuildReciprocalNetwork:
         assert report.edges_out == net.num_edges == 1
         assert report.users_out == 2
 
-    def test_accepts_mention_record_tuples(self):
-        records = [MentionRecord(1, 2, 1), MentionRecord(2, 1, 7)]
-        net, _ = build_reciprocal_network(records)
-        assert list(net.edges()) == [WeightedEdge(1, 2, 1)]
-
     def test_order_invariance(self):
         rng = random.Random(301)
         records = []
@@ -68,12 +62,8 @@ class TestSocialNetwork:
     def star(self):
         return SocialNetwork.from_edges([(1, 2, 1), (1, 3, 2), (1, 4, 3)])
 
-    def test_degree(self, star):
-        assert star.degree(1) == 3
-        assert star.degree(2) == 1
-
     def test_absent_node_degree_zero_with_flag(self, star):
-        assert star.degree(99) == 0
+        assert star.neighbors(99) == ()
         assert 99 not in star
         assert 1 in star
 

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,6 @@ from tvgeo.robust_stats import (
     _medoid,
     dispersion,
     geodesic_l1_median,
-    mad_spread,
     weighted_distance_sum,
 )
 
@@ -172,29 +173,6 @@ class TestDispersion:
         unweighted = dispersion(center, WeightedPointSet.unweighted(pts))
         weighted = dispersion(center, WeightedPointSet(tuple(pts), (100.0, 0.1, 7.0)))
         assert unweighted == weighted
-
-
-class TestMadSpread:
-    def test_single_point(self):
-        assert mad_spread([GeoPoint(50.0, 50.0)]) == 0.0
-
-    def test_three_identical_points(self):
-        p = GeoPoint(50.0, 50.0)
-        assert mad_spread([p, p, p]) == 0.0
-
-    def test_cluster_with_far_outlier_stays_tight(self):
-        center = GeoPoint(48.85, 2.35)
-        cluster = [destination(center, b, 0.4) for b in (0.0, 90.0, 180.0, 270.0)]
-        outlier = destination(center, 45.0, 500.0)
-        assert mad_spread(cluster + [outlier]) <= 1.0
-
-    def test_outlier_distance_is_irrelevant(self):
-        center = GeoPoint(48.85, 2.35)
-        cluster = [destination(center, b, 0.4) for b in (0.0, 90.0, 180.0, 270.0)]
-        near = mad_spread(cluster + [destination(center, 45.0, 500.0)])
-        far = mad_spread(cluster + [destination(center, 45.0, 8000.0)])
-        assert near <= 1.0 and far <= 1.0
-        assert abs(near - far) < 0.05
 
 
 def _worldwide_point(rng: random.Random) -> GeoPoint:
@@ -433,3 +411,56 @@ def _adversarial_medoid_sets() -> list[WeightedPointSet]:
     add(_worldwide_point(rng) for _ in range(200))
     sets.append(_city_cluster_set(rng, 200))
     return sets
+
+
+def _load_bench_tracing():
+    """bench/tracing.py, loaded by path: the benchmark is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _spread_sets() -> list[WeightedPointSet]:
+    """Seeded sets with one point 87.9 or 88.1 degrees from the weighted
+    centroid, and a degenerate centroid. A pair mirrored across the equator
+    and a counterweight west of (0, 0) that balances the far point east of
+    it put the centroid at (0, 0), so the far point is its longitude away.
+    The counterweight is at most a degree west, so no Weiszfeld iterate
+    wanders out of the tangent plane, the medoid's other way in, which the
+    tracer does not count."""
+    rng = random.Random(7088)
+    sets = []
+    for angle in (87.9, 88.1) * 10:
+        lat, west, far_weight = rng.uniform(0.1, 0.5), rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
+        counterweight = far_weight * math.sin(math.radians(angle)) / math.sin(math.radians(west))
+        pair_weight = rng.uniform(1.0, 5.0)
+        points = (GeoPoint(lat, 0.0), GeoPoint(-lat, 0.0), GeoPoint(0.0, -west), GeoPoint(0.0, angle))
+        sets.append(WeightedPointSet(points, (pair_weight, pair_weight, counterweight, far_weight)))
+    octahedron = (GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0), GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0))
+    sets.append(WeightedPointSet.unweighted(octahedron))
+    return sets
+
+
+def test_bench_tracer_keeps_the_medians_hemisphere_rule(monkeypatch):
+    # The benchmark's trace counts robust_stats.median.wide_calls with its
+    # own copy of the 88 degree rule; it must pick the sets the median does.
+    tracing = _load_bench_tracing()
+    assert tracing._MAX_SPREAD_COS == robust_stats._MAX_SPREAD_COS
+    sent = []
+    medoid = robust_stats._medoid
+
+    def recording(s):
+        sent.append(s)
+        return medoid(s)
+
+    monkeypatch.setattr(robust_stats, "_medoid", recording)
+    sets = _spread_sets()
+    to_medoid = []
+    for s in sets:
+        del sent[:]
+        geodesic_l1_median(s)
+        to_medoid.append(sent == [s])
+    assert to_medoid == [tracing.is_wide(s.points, s.weights) for s in sets]
+    assert to_medoid == [False, True] * 10 + [True]
