@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
-from . import __version__
+from . import __version__, _workers
 from ._tsv import atomic_write
 from .evaluation import (
     CityTable,
@@ -54,7 +54,6 @@ from .solver import (
     DEFAULT_ITERATIONS,
     DescentViolation,
     SolverConfig,
-    _usable_cpus,
     infer,
     read_estimates_file,
     write_estimates_file,
@@ -71,9 +70,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenExecutor:
-        # A solver worker died. CPython words this in two ways, depending on
-        # whether the pool was still taking work, so the message is fixed.
-        print("error: a solver worker process terminated abruptly", file=sys.stderr)
+        # A solver or seeding worker died. CPython words this in two ways,
+        # depending on whether the pool was still taking work, so the message
+        # is fixed.
+        print("error: a worker process terminated abruptly", file=sys.stderr)
         return 1
 
 
@@ -157,7 +157,7 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=_worker_count,
-        default=_usable_cpus(),
+        default=_workers.usable_cpus(),
         help="worker processes, at least 1; output is byte-identical for any value",
     )
 
@@ -193,7 +193,7 @@ def cmd_seed(args: argparse.Namespace) -> int:
         raise ValueError("--now is required when --profiles is given")
     gps_records = {}
     if args.gps is not None:
-        gps_records = gps_homes(read_gps_events_file(args.gps))
+        gps_records = gps_homes(read_gps_events_file(args.gps), threads=_workers.usable_cpus())
     gaz_records = {}
     if args.profiles is not None:
         gazetteer = Gazetteer.from_tsv(args.gazetteer)

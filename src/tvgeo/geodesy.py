@@ -173,10 +173,19 @@ def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
 # The least and greatest radii of curvature on WGS84: a(1 - e^2), the meridian
 # radius at the equator, and a / sqrt(1 - e^2), both radii at a pole. A
 # geodesic is between them times its unit-sphere central angle (near_ties
-# proves it); the medoid bounds its objectives with them.
+# proves it); the medoid and ground_truth.max_speed bound distances with them.
 _WGS84_E_SQ = WGS84_F * (2.0 - WGS84_F)
 MIN_RADIUS_KM = WGS84_A_KM * (1.0 - _WGS84_E_SQ)
 MAX_RADIUS_KM = WGS84_A_KM / math.sqrt(1.0 - _WGS84_E_SQ)
+
+# How far a computed geodesic_distance may fall outside the radius bracket
+# of its pair's chord angle, for the medoid and ground_truth.max_speed:
+# Vincenty's error is sub-millimetre, and the chord's ~2e-15 rounding, which
+# asin magnifies next to an antipode, moves the angle by at most
+# 2 sqrt(2e-15) rad, 0.6 m. The spherical fallback's mean radius is over
+# 0.4% inside the bracket, and it only serves pairs within a degree of
+# antipodal, 80 km and more from either bound.
+_PAIR_SLACK_KM = 0.01
 
 # Chord ratio within which near_ties keeps a point: above the WGS84 spread
 # MAX_RADIUS_KM / MIN_RADIUS_KM = (1 - e^2)^(-3/2) = 1.0101.

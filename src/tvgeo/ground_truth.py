@@ -4,6 +4,22 @@ GPS users qualify with at least three events, a median spread of at most
 30 km, and no consecutive-pair speed above 1000 km/h. Profile claims qualify
 by exact gazetteer match when at most 90 days old. When both sources exist
 for a user, GPS wins.
+
+Each GPS user is judged on their own events alone, so gps_homes maps
+gps_home over the users in forked worker processes (_workers.fork_map, as
+the solver maps its rounds), with the same result for any worker count.
+
+The speed filter measures only the legs that can be the fastest. A WGS84
+geodesic of unit-sphere central angle sigma is between MIN_RADIUS_KM * sigma
+and MAX_RADIUS_KM * sigma long (6,335 and 6,400 km times sigma;
+geodesy.near_ties proves it), and a computed geodesic_distance is within
+_PAIR_SLACK_KM (10 m) of that bracket, with sigma taken from the chord
+between _unit_vector outputs. So a leg of h hours has a computed speed within
+[MIN_RADIUS_KM * sigma - 10 m, MAX_RADIUS_KM * sigma + 10 m] / h, the
+division rounding both ends the same way as the speed. A leg whose upper
+bound is below the largest lower bound is slower than some other leg, so
+max_speed calls geodesic_distance only for the legs whose upper bound
+reaches it, and returns the same float as measuring every leg.
 """
 
 from __future__ import annotations
@@ -13,8 +29,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
-from . import _tsv
-from .geodesy import GeoPoint, geodesic_distance
+from . import _tsv, _workers
+from .geodesy import (
+    _PAIR_SLACK_KM,
+    MAX_RADIUS_KM,
+    MIN_RADIUS_KM,
+    GeoPoint,
+    _unit_vector,
+    geodesic_distance,
+)
 from .robust_stats import WeightedPointSet, dispersion, geodesic_l1_median
 
 MIN_GPS_EVENTS = 3
@@ -101,22 +124,33 @@ class Gazetteer:
 def max_speed(events: Sequence[GpsEvent]) -> float:
     """Maximum geodesic speed in km/h over consecutive event pairs.
 
-    A zero time gap counts as infinite speed when the points differ and is
-    skipped when they coincide.
+    A leg whose time gap is zero, or so small that its hours round to 0.0,
+    counts as infinite speed when the points differ and is skipped when they
+    coincide. Only the legs that the chord bracket (module docstring) cannot
+    rule out are measured.
     """
     if len(events) < 2:
         raise ValueError("max_speed needs at least two events")
-    fastest = 0.0
-    for prev, cur in zip(events, events[1:]):
+    vectors = [_unit_vector(e.point) for e in events]
+    legs = []  # (upper bound, leg index, hours) of the legs with positive hours
+    floor = 0.0  # the largest lower bound
+    for k in range(1, len(events)):
+        prev, cur = events[k - 1], events[k]
         dt = cur.timestamp - prev.timestamp
         if dt < 0:
             raise ValueError("events are not sorted by timestamp")
-        dist = geodesic_distance(prev.point, cur.point)
-        if dt == 0:
-            if dist > 0.0:
+        hours = dt / 3600.0
+        if hours == 0.0:
+            if geodesic_distance(prev.point, cur.point) > 0.0:
                 return math.inf
             continue
-        fastest = max(fastest, dist / (dt / 3600.0))
+        sigma = 2.0 * math.asin(min(1.0, 0.5 * math.dist(vectors[k - 1], vectors[k])))
+        floor = max(floor, (MIN_RADIUS_KM * sigma - _PAIR_SLACK_KM) / hours)
+        legs.append(((MAX_RADIUS_KM * sigma + _PAIR_SLACK_KM) / hours, k, hours))
+    fastest = 0.0
+    for hi, k, hours in legs:
+        if hi >= floor:
+            fastest = max(fastest, geodesic_distance(events[k - 1].point, events[k].point) / hours)
     return fastest
 
 
@@ -177,9 +211,13 @@ def merge_seeds(
     return dict(sorted(merged.items()))
 
 
-def gps_homes(events: Iterable[GpsEvent]) -> dict[int, GroundTruthRecord]:
-    """Group events by user and keep those that pass gps_home."""
-    return _homes_by_user(events, gps_home)
+def gps_homes(
+    events: Iterable[GpsEvent], *, threads: int = 1
+) -> dict[int, GroundTruthRecord]:
+    """Group events by user and keep those that pass gps_home. threads: as
+    for solver.infer; the users are mapped over forked workers
+    (_workers.fork_map), and the result is the same for any value."""
+    return _homes_by_user(events, gps_home, threads)
 
 
 def gazetteer_homes(
@@ -190,18 +228,21 @@ def gazetteer_homes(
 
 
 def _homes_by_user(
-    items: Iterable, home: Callable[[list], GroundTruthRecord | None]
+    items: Iterable, home: Callable[[list], GroundTruthRecord | None], threads: int = 1
 ) -> dict[int, GroundTruthRecord]:
     """home() of each user's items, in user order, where it is not None."""
     by_user: dict[int, list] = {}
     for item in items:
         by_user.setdefault(item.user, []).append(item)
-    out: dict[int, GroundTruthRecord] = {}
-    for user in sorted(by_user):
-        record = home(by_user[user])
-        if record is not None:
-            out[user] = record
-    return out
+    users = sorted(by_user)
+    records = _workers.fork_map(_user_home, users, (home, by_user), threads)
+    return {user: record for user, record in zip(users, records) if record is not None}
+
+
+def _user_home(
+    user: int, home: Callable[[list], GroundTruthRecord | None], by_user: dict[int, list]
+) -> GroundTruthRecord | None:
+    return home(by_user[user])
 
 
 def seed_points(seeds: Mapping[int, GroundTruthRecord]) -> dict[int, GeoPoint]:

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from statistics import median as _scalar_median
 from typing import Iterable
 
-from .geodesy import MEAN_RADIUS_KM, MIN_RADIUS_KM, GeoPoint, _unit_vector, geodesic_distance
+from .geodesy import (
+    _PAIR_SLACK_KM,
+    MEAN_RADIUS_KM,
+    MIN_RADIUS_KM,
+    GeoPoint,
+    _unit_vector,
+    geodesic_distance,
+)
 
 # The median's fixed stopping rule; the solver's descent guard reads TOL_KM.
 TOL_KM = 0.01
@@ -42,14 +49,6 @@ _NUDGE_KM = 0.001
 
 # Beyond this angle from the weighted centroid the tangent plane is useless.
 _MAX_SPREAD_COS = math.cos(math.radians(88.0))
-
-# How far a computed geodesic_distance may fall outside the radius bracket
-# of its pair's chord angle: Vincenty's error is sub-millimetre, and the
-# chord's ~2e-15 rounding, which asin magnifies next to an antipode, moves
-# the angle by at most 2 sqrt(2e-15) rad, 0.6 m. The spherical fallback's
-# mean radius is over 0.4% inside the bracket, and it only serves pairs
-# within a degree of antipodal, 80 km and more from either bound.
-_PAIR_SLACK_KM = 0.01
 
 
 @dataclass(frozen=True)

@@ -11,34 +11,25 @@ dispersion, so the located set only grows and every accepted update descends.
 Seeds never move. Because updates read only the snapshot, the result is
 independent of visit order and worker count.
 
-A round is one map of node_update over the candidates, serial or, with
-threads=N > 1, in forked worker processes, not threads (the median and
-Vincenty kernels are pure Python, so threads would serialize on the
-interpreter lock). One pool is forked per round, after that round's frozen
-snapshot is in place: the snapshot, the network and the config reach the
-workers as the pool initializer's arguments, inherited at fork, so no input
-is serialized. Each worker takes about 8 chunks of the candidates, and the
-pool sends back one result per candidate, in candidate order, which the
-parent applies as it does the serial results. A worker exits
-when its parent process dies. The optional descent check runs in node_update
-and costs one more variation sum per located node that moved within the
-median tolerance. The pool has no more workers than usable CPUs, nor than
-one per 32 candidates, and forks them all before it starts its own manager
-thread, so the solver forks a process with no other threads unless its
-caller started some. A round that would get fewer than two workers, or that
-has no fork to use, runs serially.
+A round is one map of node_update over the candidates (_workers.fork_map),
+serial or, with threads=N > 1, in forked worker processes. One pool is forked
+per round, after that round's frozen snapshot is in place: the snapshot, the
+network and the config reach the workers at fork, so no input is serialized,
+and the parent applies the per-candidate results, which come back in
+candidate order, as it does the serial results. The optional descent check
+runs in node_update and costs one more variation sum per located node that
+moved within the median tolerance.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import median
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from . import _tsv
+from . import _tsv, _workers
 from .geodesy import GeoPoint, geodesic_distance
 from .graph import SocialNetwork
 from .robust_stats import TOL_KM, WeightedPointSet, dispersion, geodesic_l1_median
@@ -207,13 +198,6 @@ def spatial_label_propagation(
     return infer(network, seeds, cfg, threads=threads)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, often fewer than os.cpu_count()."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _located_neighbors(
     i: int, located: Mapping[int, LocationEstimate], network: SocialNetwork
 ) -> tuple[list[GeoPoint], list[float]]:
@@ -237,11 +221,6 @@ def _weighted_sum(weights: Iterable[float], distances: Iterable[float]) -> float
     return total
 
 
-# The round context (snapshot, network, cfg, check_descent) of a forked
-# worker, set by its initializer; the parent never sets it.
-_ROUND: tuple | None = None
-
-
 def _round_updates(
     candidates: Sequence[int],
     snapshot: EstimateState,
@@ -252,52 +231,8 @@ def _round_updates(
 ) -> list[tuple[int, GeoPoint, float]]:
     """(user, point, dispersion) of every accepted update, in candidate order."""
     context = (snapshot, network, cfg, check_descent)
-    # A worker takes about 8 chunks and at least 32 candidates, so a round of
-    # fewer than 64 candidates runs serially, as does any one-worker pool.
-    workers = min(threads, _usable_cpus(), len(candidates) // 32)
-    if workers < 2 or not hasattr(os, "fork"):
-        results = [node_update(node, *context) for node in candidates]
-    else:
-        # Imported here: the process-pool modules add ~2 MB of resident memory
-        # that serial runs never use.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_enter_round,
-            initargs=context,
-        ) as pool:
-            chunksize = -(-len(candidates) // (8 * workers))
-            results = list(pool.map(_round_update, candidates, chunksize=chunksize))
+    results = _workers.fork_map(node_update, candidates, context, threads)
     return [(node, *update) for node, update in zip(candidates, results) if update is not None]
-
-
-def _enter_round(*context) -> None:
-    """Worker initializer: keep the round context, inherited at fork and
-    never pickled, and exit as soon as the parent process is gone."""
-    import multiprocessing
-    import threading
-
-    global _ROUND
-    _ROUND = context
-    sentinel = multiprocessing.parent_process().sentinel
-
-    def exit_with_parent() -> None:
-        # EOF once the parent, and every sibling forked after this worker
-        # (each holds a copy of the pipe's write end), has exited.
-        os.read(sentinel, 1)
-        os._exit(1)
-
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-
-
-def _round_update(node: int) -> tuple[GeoPoint, float] | None:
-    """Worker entry point: node_update against the round context. GeoPoint
-    results unpickle through the dataclass __setstate__, so longitudes come
-    back bit-exact, never re-normalized."""
-    return node_update(node, *_ROUND)
 
 
 def _with_seed_dispersions(

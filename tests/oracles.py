@@ -7,7 +7,8 @@ evaluated by adaptive quadrature, so its only approximation is quadrature
 tolerance (~1e-13). grid_search_median minimizes the weighted distance sum by
 multi-level grid refinement down to a target resolution. Both are validated
 against closed forms in the test suite and share nothing with the library's
-algorithms beyond the ellipsoid constants.
+algorithms beyond the ellipsoid constants. max_speed_every_leg is the plain
+every-leg loop that ground_truth.max_speed prunes.
 """
 
 from __future__ import annotations
@@ -167,3 +168,28 @@ def grid_search_median(points, weights, resolution_km: float = 0.1):
         lat_lo, lat_hi = blat - 2.0 * dlat, blat + 2.0 * dlat
         lon_lo, lon_hi = blon - 2.0 * dlon, blon + 2.0 * dlon
     return GeoPoint(best[1], best[2]), best[0]
+
+
+def max_speed_every_leg(events) -> float:
+    """ground_truth.max_speed's reference: geodesic_distance on every leg, in
+    order, with the same zero-gap rule (a gap whose hours round to 0.0 is
+    infinite speed when the points differ and skipped when they coincide).
+    It uses the library's geodesic_distance, so the fastest leg it finds is
+    the same float that max_speed must return."""
+    from tvgeo.geodesy import geodesic_distance
+
+    if len(events) < 2:
+        raise ValueError("max_speed needs at least two events")
+    fastest = 0.0
+    for prev, cur in zip(events, events[1:]):
+        dt = cur.timestamp - prev.timestamp
+        if dt < 0:
+            raise ValueError("events are not sorted by timestamp")
+        dist = geodesic_distance(prev.point, cur.point)
+        hours = dt / 3600.0
+        if hours == 0.0:
+            if dist > 0.0:
+                return math.inf
+            continue
+        fastest = max(fastest, dist / hours)
+    return fastest

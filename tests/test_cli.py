@@ -13,7 +13,7 @@ from tvgeo.cli import main
 from tvgeo.geodesy import GeoPoint, destination
 from tvgeo.graph import read_network_file
 from tvgeo.ground_truth import read_seeds_file
-from tvgeo import cli, solver
+from tvgeo import _workers, cli, solver
 from tvgeo.solver import read_estimates_file
 
 NOW = 1_700_000_000.0
@@ -121,6 +121,37 @@ class TestSeed:
         assert seeds[2].source == "gps"  # both sources: gps wins
         assert seeds[3].source == "gazetteer"
         assert 4 not in seeds  # stale claim
+
+    def test_gap_that_underflows_to_zero_hours_rejects_the_user(self, tmp_path, inputs, capsys):
+        gps, _, _ = inputs
+        # User 5 moves 1 km in 5e-324 s, a positive gap of 0.0 hours.
+        home = GeoPoint(37.77, -122.42)
+        away = destination(home, 0.0, 1.0)
+        rows = [(home, "0"), (away, "5e-324"), (away, "3600")]
+        with open(gps, "a", encoding="utf-8") as fh:
+            fh.writelines(f"5\t{p.lat!r}\t{p.lon!r}\t{t}\n" for p, t in rows)
+        out = tmp_path / "seeds.tsv"
+        assert main(["seed", "--gps", str(gps), "--out", str(out)]) == 0
+        assert set(read_seeds_file(out)) == {1, 2}
+
+    def test_output_is_the_same_at_any_worker_count(self, tmp_path, monkeypatch):
+        rows = []
+        for user in range(150):
+            home = GeoPoint(-60.0 + 0.8 * user, -180.0 + 2.4 * user)
+            for k in range(3 + user % 5):
+                # Every seventh user strays 40 km a step, over the 30 km spread.
+                km = (40.0 if user % 7 == 0 else 0.5) * k
+                p = destination(home, 37.0 * k, km)
+                rows.append(f"{user}\t{p.lat!r}\t{p.lon!r}\t{1000 + 7200 * k}\n")
+        gps = write(tmp_path / "gps.tsv", "".join(reversed(rows)))
+        written = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(_workers, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"seeds-{cpus}.tsv"
+            assert main(["seed", "--gps", str(gps), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert 100 < len(read_seeds_file(tmp_path / "seeds-1.tsv")) < 150
 
     def test_profiles_without_gazetteer_fail(self, tmp_path, inputs, capsys):
         _, claims, _ = inputs
@@ -255,7 +286,7 @@ class TestInfer:
             return -1.0 if os.getpid() != parent else real_variation(*args)
 
         monkeypatch.setattr(solver, "nodal_variation", lower_in_workers)
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)  # a pool on any host
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # a pool on any host
         network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
         seeds = write(tmp_path / "seeds.tsv", seeds_line(1, GeoPoint(40.0, -3.0)))
         args = ["infer", str(network), str(seeds), "--out", str(tmp_path / "est.tsv")]
@@ -264,7 +295,7 @@ class TestInfer:
             capsys.readouterr().err
         )
         assert multiprocessing.active_children() == []
-        assert solver._ROUND is None
+        assert _workers._CONTEXT is None
 
     def test_out_of_range_seed_latitude_names_the_line(self, tmp_path, path_fixture, capsys):
         network, _, p = path_fixture
@@ -274,17 +305,22 @@ class TestInfer:
         assert f"error: {seeds}:2: latitude 91.0 outside [-90, 90]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(solver, "_round_update", _die_in_worker)
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)  # a pool on any host
-        p = GeoPoint(40.0, -3.0)
-        network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
-        seeds = write(tmp_path / "seeds.tsv", seeds_line(1, p))
-        out = tmp_path / "est.tsv"
-        assert main(["infer", str(network), str(seeds), "--out", str(out), "--threads", "2"]) == 1
-        assert capsys.readouterr().err == "error: a solver worker process terminated abruptly\n"
+    @pytest.mark.parametrize("command", ["infer", "seed"])
+    def test_dead_worker_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(_workers, "_call", _die_in_worker)
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # a pool on any host
+        out = tmp_path / "out.tsv"
+        if command == "infer":
+            network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
+            seeds = write(tmp_path / "seeds.tsv", seeds_line(1, GeoPoint(40.0, -3.0)))
+            args = ["infer", str(network), str(seeds), "--threads", "2"]
+        else:
+            gps = write(tmp_path / "gps.tsv", "".join(f"{u}\t40.0\t-3.0\t0\n" for u in range(100)))
+            args = ["seed", "--gps", str(gps)]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: a worker process terminated abruptly\n"
         assert multiprocessing.active_children() == []
-        assert solver._ROUND is None
+        assert _workers._CONTEXT is None
 
     @pytest.mark.parametrize(
         "cpython_message",
@@ -306,7 +342,7 @@ class TestInfer:
         network, seeds, _ = path_fixture
         out = tmp_path / "est.tsv"
         assert main(["infer", str(network), str(seeds), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: a solver worker process terminated abruptly\n"
+        assert capsys.readouterr().err == "error: a worker process terminated abruptly\n"
         assert not out.exists()
 
     def test_failed_rerun_leaves_the_previous_outputs(

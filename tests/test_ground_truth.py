@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from tvgeo import _workers, ground_truth
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
 from tvgeo.ground_truth import (
     MAX_CLAIM_AGE_SECONDS,
@@ -22,6 +24,8 @@ from tvgeo.ground_truth import (
     write_seeds_file,
 )
 
+from oracles import max_speed_every_leg
+
 HOME = GeoPoint(37.77, -122.42)
 HOUR = 3600.0
 DAY = 86400.0
@@ -29,6 +33,93 @@ DAY = 86400.0
 
 def ev(user, point, ts):
     return GpsEvent(user, point, ts)
+
+
+def _anywhere(rng):
+    return GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
+
+
+def _toward(rng, start, low_km, high_km):
+    return destination(start, rng.uniform(0.0, 360.0), rng.uniform(low_km, high_km))
+
+
+def _adversarial_point(rng, prev):
+    """A next event point that stresses the chord bracket of max_speed."""
+    kind = rng.randrange(9)
+    if kind == 0:
+        return prev  # a zero-length leg
+    if kind == 1:  # one ulp of latitude: chord and Vincenty both round
+        return GeoPoint(math.nextafter(prev.lat, 0.0), prev.lon)
+    if kind == 2:
+        return _toward(rng, prev, 0.0, 0.001)  # sub-metre
+    if kind == 3:
+        return _toward(rng, prev, 0.0, 50.0)
+    if kind == 4:
+        return GeoPoint(-prev.lat, prev.lon + 180.0)  # antipodal
+    if kind == 5:  # near-antipodal, within a few hundredths of a degree
+        lat = max(-90.0, min(90.0, -prev.lat + rng.uniform(-0.05, 0.05)))
+        return GeoPoint(lat, prev.lon + 180.0 + rng.uniform(-0.05, 0.05))
+    if kind == 6:  # at or next to a pole
+        lat = rng.choice((-1.0, 1.0)) * rng.choice((90.0, 89.9999, 89.99))
+        return GeoPoint(lat, rng.uniform(-180.0, 180.0))
+    if kind == 7:  # across the antimeridian
+        return GeoPoint(prev.lat, rng.choice((179.9999, -179.9999, -180.0, 180.0 - 1e-9)))
+    return _anywhere(rng)
+
+
+def _adversarial_user(rng):
+    """Sorted events with zero gaps, gaps that underflow to 0 h, legs back
+    over the previous leg in the same time (exactly equal speed) and legs
+    within 1% of the previous leg's speed."""
+    points = [_adversarial_point(rng, _anywhere(rng))]
+    times = [0.0]
+    for _ in range(rng.randint(1, 11)):
+        last_hours = (times[-1] - times[-2]) / 3600.0 if len(times) > 1 else 0.0
+        last_speed = geodesic_distance(points[-2], points[-1]) / last_hours if last_hours else 0.0
+        gap = rng.randrange(5)
+        if gap == 0 and last_hours:
+            points.append(points[-2])
+            times.append(times[-1] + (times[-1] - times[-2]))
+            continue
+        point = _adversarial_point(rng, points[-1])
+        if gap == 1 and rng.random() < 0.8:  # mostly a repeated fix, skipped
+            point = points[-1]
+        distance = geodesic_distance(points[-1], point)
+        if gap == 1:
+            dt = rng.choice((0.0, 5e-324))
+        elif gap == 2 and last_speed and distance:
+            dt = 3600.0 * distance / (last_speed * rng.uniform(0.99, 1.01))
+        else:
+            # 1e-300 s is a zero gap after the first event, at 0 s.
+            dt = rng.choice((1e-300, 1.0, 60.0, 3600.0, 86400.0)) * rng.uniform(0.5, 2.0)
+        points.append(point)
+        times.append(times[-1] + dt)
+    return [ev(1, p, t) for p, t in zip(points, times)]
+
+
+def _seed_ingest_like_user(rng, user=1):
+    """Events shaped like the seed-ingest benchmark's GPS users: clean users
+    near home hours apart, travellers with a far trip days away, wanderers
+    150-250 km out, and teleporters that jump 800-3000 km in minutes."""
+    home = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+    times = [0.0]
+    for _ in range(rng.randint(2, 11)):
+        times.append(times[-1] + rng.uniform(6.0, 72.0) * HOUR)
+    kind = rng.random()
+    if kind < 0.6:  # clean
+        points = [_toward(rng, home, 0.0, 2.0) for _ in times]
+    elif kind < 0.76:  # traveller
+        trip = _toward(rng, home, 300.0, 2000.0)
+        points = [_toward(rng, trip if rng.random() < 0.3 else home, 0.0, 2.0) for _ in times]
+        times = [4.0 * t for t in times]
+    elif kind < 0.88:  # wanderer
+        points = [_toward(rng, home, 150.0, 250.0) for _ in times]
+    else:  # teleporter
+        points = [_toward(rng, home, 0.0, 2.0) for _ in times]
+        points.append(_toward(rng, home, 800.0, 3000.0))
+        times.append(rng.choice(times) + rng.uniform(300.0, 1800.0))
+    events = [ev(user, p, t) for p, t in zip(points, times)]
+    return sorted(events, key=lambda e: (e.timestamp, e.point.lat, e.point.lon))
 
 
 class TestMaxSpeed:
@@ -62,6 +153,38 @@ class TestMaxSpeed:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             max_speed([ev(1, HOME, HOUR), ev(1, HOME, 0.0)])
+
+    def test_gap_that_underflows_to_zero_hours_is_infinite(self):
+        # 5e-324 s is positive, but 5e-324 / 3600 is 0.0 h.
+        b = destination(HOME, 0.0, 1.0)
+        assert max_speed([ev(1, HOME, 0.0), ev(1, b, 5e-324), ev(1, b, HOUR)]) == math.inf
+        assert max_speed([ev(1, HOME, 0.0), ev(1, HOME, 5e-324), ev(1, b, HOUR)]) == max_speed(
+            [ev(1, HOME, 0.0), ev(1, b, HOUR)]
+        )
+
+    def test_adversarial_users_match_the_every_leg_oracle_bit_for_bit(self):
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            events = _adversarial_user(rng)
+            assert max_speed(events).hex() == max_speed_every_leg(events).hex(), events
+
+    def test_measures_few_legs(self, monkeypatch):
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return geodesic_distance(a, b)
+
+        rng = random.Random(15)
+        users = [_seed_ingest_like_user(rng) for _ in range(2000)]
+        want = [max_speed_every_leg(events) for events in users]
+        monkeypatch.setattr(ground_truth, "geodesic_distance", counted)
+        assert [max_speed(events) for events in users] == want
+        # The every-leg loop measures every leg. The bracket measures 16% of
+        # these legs, and 17% of the seed-ingest benchmark's at seeds 17 and 4242.
+        legs = sum(len(events) - 1 for events in users)
+        assert calls < 0.25 * legs
 
 
 class TestGpsHome:
@@ -219,6 +342,31 @@ class TestGroupingHelpers:
         ]
         homes = gps_homes(events)
         assert set(homes) == {1}
+
+    def test_gps_homes_is_the_same_at_any_worker_count(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        pool_sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 4)  # workers on any host
+        rng = random.Random(16)
+        events = [e for user in range(200) for e in _seed_ingest_like_user(rng, user)]
+        rng.shuffle(events)
+        written = []
+        for threads in (1, 2, 4):
+            path = tmp_path / f"seeds-{threads}.tsv"
+            with open(path, "w", encoding="utf-8") as fh:
+                write_seeds_file(gps_homes(events, threads=threads), fh)
+            written.append(path.read_bytes())
+        assert pool_sizes == [2, 4]
+        assert written[0] == written[1] == written[2]
+        assert 50 < len(read_seeds_file(tmp_path / "seeds-1.tsv")) < 200
 
     def test_gazetteer_homes_groups_per_user(self):
         gaz = Gazetteer({"malibu, ca": GeoPoint(34.03, -118.78)})

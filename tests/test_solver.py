@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
-from tvgeo import solver
+from tvgeo import _workers, solver
 from tvgeo.graph import SocialNetwork
 from tvgeo.robust_stats import WeightedPointSet, weighted_distance_sum
 from tvgeo.solver import (
@@ -261,18 +261,18 @@ class TestInfer:
     def test_descent_assertion_passes_with_worker_processes(self, monkeypatch):
         # The check runs in the workers; 120 users keep the round above the
         # serial cut-off.
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)  # workers on any host
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # workers on any host
         rng = random.Random(408)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         infer(net, seeds, SolverConfig(iterations=4), threads=2, check_descent=True)
 
     def test_worker_pool_is_gone_after_return(self, monkeypatch):
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)  # workers on any host
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 4)  # workers on any host
         rng = random.Random(410)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         infer(net, seeds, SolverConfig(iterations=2), threads=4)
         assert multiprocessing.active_children() == []
-        assert solver._ROUND is None
+        assert _workers._CONTEXT is None
 
     def test_worker_pool_is_capped_at_usable_cpus(self, monkeypatch):
         import concurrent.futures
@@ -285,7 +285,7 @@ class TestInfer:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
         rng = random.Random(410)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         capped, _ = infer(net, seeds, SolverConfig(iterations=2), threads=16)
@@ -303,7 +303,7 @@ class TestInfer:
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         serial, _ = infer(net, seeds, SolverConfig(iterations=2))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 1)
         one_cpu, _ = infer(net, seeds, SolverConfig(iterations=2), threads=4)
         assert estimates_text(one_cpu) == estimates_text(serial)
 
@@ -312,36 +312,52 @@ class TestInfer:
             raise RuntimeError(os.getpid())
 
         monkeypatch.setattr(solver, "node_update", failing_update)
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)  # workers on any host
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 4)  # workers on any host
         rng = random.Random(410)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         with pytest.raises(RuntimeError) as raised:
             infer(net, seeds, SolverConfig(iterations=2), threads=4)
         assert raised.value.args[0] != os.getpid()  # raised in a worker
         assert multiprocessing.active_children() == []
-        assert solver._ROUND is None
+        assert _workers._CONTEXT is None
 
     @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc"), reason="Linux only")
-    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
-        # The child's workers record their pids and sleep in node_update;
-        # SIGKILL gives the child no chance to shut its pool down.
+    @pytest.mark.parametrize(
+        "run",
+        [
+            # The workers sleep in node_update.
+            """
+            solver.node_update = record_and_sleep
+            net = SocialNetwork.from_edges((1, u, 1) for u in range(2, 100))
+            solver.infer(net, {1: GeoPoint(40.0, -3.0)}, threads=2)
+            """,
+            # The workers sleep in gps_home.
+            """
+            ground_truth.gps_home = record_and_sleep
+            events = [GpsEvent(u, GeoPoint(40.0, -3.0), 0.0) for u in range(100)]
+            ground_truth.gps_homes(events, threads=2)
+            """,
+        ],
+        ids=["infer", "seed"],
+    )
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path, run):
+        # The child's workers record their pids and sleep; SIGKILL gives the
+        # child no chance to shut its pool down.
         child = textwrap.dedent(
             """
             import os, sys, time
-            from tvgeo import solver
+            from tvgeo import _workers, ground_truth, solver
             from tvgeo.geodesy import GeoPoint
             from tvgeo.graph import SocialNetwork
+            from tvgeo.ground_truth import GpsEvent
 
             def record_and_sleep(*args):
                 open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
                 time.sleep(60)
 
-            solver.node_update = record_and_sleep
-            solver._usable_cpus = lambda: 2
-            net = SocialNetwork.from_edges((1, u, 1) for u in range(2, 100))
-            solver.infer(net, {1: GeoPoint(40.0, -3.0)}, threads=2)
+            _workers.usable_cpus = lambda: 2
             """
-        )
+        ) + textwrap.dedent(run)
         src = str(Path(__file__).resolve().parent.parent / "src")
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
