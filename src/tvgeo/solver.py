@@ -16,7 +16,15 @@ serial or, with threads=N > 1, in forked worker processes. One pool is forked
 per round, after that round's frozen snapshot is in place: the snapshot, the
 network and the config reach the workers at fork, so no input is serialized,
 and the parent applies the per-candidate results, which come back in
-candidate order, as it does the serial results. The optional descent check
+candidate order, as it does the serial results. It applies them in place,
+into the dict the round's snapshot holds: fork_map returns only once every
+result is back and the pool is closed (or the serial list is complete), so
+no worker and no later candidate of the round can still read the snapshot,
+and each candidate has at most one update, read before it is overwritten.
+That holds at any worker count, and it saves a copy of the located dict per
+round. The neighbor walk reads each node's row slices from the network's
+compressed rows (SocialNetwork._row), never building (neighbor, weight)
+pairs in the hot loop. The optional descent check
 runs in node_update and costs one more variation sum per located node that
 moved within the median tolerance.
 """
@@ -169,7 +177,8 @@ def infer(
         snapshot = EstimateState(located, k - 1)
         updates = _round_updates(candidates, snapshot, network, cfg, threads, check_descent)
 
-        next_located = dict(located)
+        # Every update of the round is in hand, so the snapshot is no longer
+        # read and the updates go into it in place.
         newly = 0
         for user, point, disp in updates:
             previous = located.get(user)
@@ -178,11 +187,10 @@ def infer(
                 newly += 1
             else:
                 first = previous.first_located_iteration
-            next_located[user] = LocationEstimate(user, point, disp, SOURCE_INFERRED, first)
-        located = next_located
+            located[user] = LocationEstimate(user, point, disp, SOURCE_INFERRED, first)
         reports.append(IterationStats(k, newly, len(located)))
 
-    located = _with_seed_dispersions(located, seeds, network)
+    _add_seed_dispersions(located, seeds, network)
     return EstimateState(located, cfg.iterations), reports
 
 
@@ -205,7 +213,7 @@ def _located_neighbors(
     in adjacency order."""
     points: list[GeoPoint] = []
     weights: list[float] = []
-    for neighbor, weight in network.neighbors(i):
+    for neighbor, weight in zip(*network._row(i)):
         est = located.get(neighbor)
         if est is not None:
             points.append(est.point)
@@ -235,23 +243,23 @@ def _round_updates(
     return [(node, *update) for node, update in zip(candidates, results) if update is not None]
 
 
-def _with_seed_dispersions(
+def _add_seed_dispersions(
     located: dict[int, LocationEstimate],
     seeds: Mapping[int, GeoPoint],
     network: SocialNetwork,
-) -> dict[int, LocationEstimate]:
+) -> None:
     # Seeds never move, but their ego dispersion against the final state is
     # still a useful confidence signal; NaN when nothing nearby is located.
-    out = dict(located)
+    # Only dispersions change, never a point, so the walk may read the dict
+    # it writes.
     for user in seeds:
-        estimate = out[user]
-        points, _ = _located_neighbors(user, out, network)
+        estimate = located[user]
+        points, _ = _located_neighbors(user, located, network)
         if points:
             disp = dispersion(estimate.point, WeightedPointSet.unweighted(points))
         else:
             disp = math.nan
-        out[user] = replace(estimate, dispersion_km=disp)
-    return out
+        located[user] = replace(estimate, dispersion_km=disp)
 
 
 # --- file format -------------------------------------------------------------

@@ -8,7 +8,9 @@ tolerance (~1e-13). grid_search_median minimizes the weighted distance sum by
 multi-level grid refinement down to a target resolution. Both are validated
 against closed forms in the test suite and share nothing with the library's
 algorithms beyond the ellipsoid constants. max_speed_every_leg is the plain
-every-leg loop that ground_truth.max_speed prunes.
+every-leg loop that ground_truth.max_speed prunes. adjacency_oracle is the
+network layout that SocialNetwork's compressed rows replaced: a dict of
+sorted (neighbor, weight) tuples per node.
 """
 
 from __future__ import annotations
@@ -193,3 +195,14 @@ def max_speed_every_leg(events) -> float:
             continue
         fastest = max(fastest, dist / hours)
     return fastest
+
+
+def adjacency_oracle(edges) -> dict:
+    """{node: ((neighbor, weight), ...)} for an {(u, v): weight} mapping of
+    distinct, checked edges in either orientation: nodes ascending, each
+    row sorted by neighbor id, every edge under both endpoints."""
+    adjacency: dict = {}
+    for (u, v), w in edges.items():
+        adjacency.setdefault(u, {})[v] = w
+        adjacency.setdefault(v, {})[u] = w
+    return {node: tuple(sorted(adjacency[node].items())) for node in sorted(adjacency)}

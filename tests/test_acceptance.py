@@ -27,6 +27,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from tvgeo import _workers
 from tvgeo.cli import main
 from tvgeo.evaluation import city_accuracy, evaluate, gamma_sweep
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
@@ -46,7 +47,7 @@ from tvgeo.robust_stats import WeightedPointSet, geodesic_l1_median, weighted_di
 from tvgeo.solver import SolverConfig, infer, spatial_label_propagation, write_estimates_file
 from tvgeo.synth import SynthConfig, generate
 
-from conftest import BENCHMARK_CONFIG
+from conftest import BENCHMARK_CONFIG, BENCHMARK_SOLVER
 from oracles import grid_search_median, oracle_distance_km
 
 # Golden values from the first verified benchmark run (rng_seed 17).
@@ -252,14 +253,28 @@ def test_ground_truth_filter_fixture(tmp_path):
         assert read_seeds_file(seeds_path) == expected
 
 
-def test_solver_determinism_across_workers(tmp_path, benchmark_files, benchmark_run):
+def test_solver_determinism_across_workers(tmp_path, monkeypatch, benchmark_files, benchmark_run):
     """1, 4, and 16 workers produce byte-identical estimate files on the
     committed benchmark, in under 2 minutes of total solver time."""
+    import concurrent.futures
+
+    pool_sizes: list[int] = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    # fork_map caps a pool at the usable CPUs; lifting the cap makes 4 and 16
+    # threads fork 4 and 16 workers on any host.
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 16)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     with criterion("determinism: 1/4/16 workers byte-identical, < 2 min"):
-        _, _, reference_text, fixture_elapsed = benchmark_run  # the 4-worker run
-        elapsed = fixture_elapsed
-        for threads in (1, 16):
+        _, _, reference_text, _ = benchmark_run
+        elapsed = 0.0
+        for threads in (1, 4, 16):
             out = tmp_path / f"estimates_t{threads}.tsv"
+            pool_sizes.clear()
             started = time.perf_counter()
             code = main(
                 [
@@ -272,8 +287,10 @@ def test_solver_determinism_across_workers(tmp_path, benchmark_files, benchmark_
             )
             elapsed += time.perf_counter() - started
             assert code == 0
+            # One pool per round, each of the requested size.
+            assert pool_sizes == ([threads] * BENCHMARK_SOLVER.iterations if threads > 1 else [])
             assert out.read_text(encoding="utf-8") == reference_text, (
-                f"{threads}-worker output differs from the 4-worker run"
+                f"{threads}-worker output differs from the reference run"
             )
         digest = hashlib.sha256(reference_text.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_DIGEST
