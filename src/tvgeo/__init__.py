@@ -27,8 +27,6 @@ from .solver import (
     LocationEstimate,
     SolverConfig,
     infer,
-    nodal_variation,
-    node_update,
     spatial_label_propagation,
 )
 from .synth import SynthConfig, SynthResult, generate
@@ -69,8 +67,6 @@ __all__ = [
     "LocationEstimate",
     "EstimateState",
     "IterationStats",
-    "nodal_variation",
-    "node_update",
     "infer",
     "spatial_label_propagation",
     "SynthConfig",

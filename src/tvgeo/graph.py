@@ -3,10 +3,9 @@ total-variation objective.
 
 SocialNetwork stores its adjacency as compressed sparse rows: flat lists of
 neighbor ids and weights, cut into rows by an array of offsets. Read from a
-file, the 50,000-edge benchmark network retains 74 B per edge, against
-211 B for the per-node tuples of (neighbor, weight) tuples it replaced. The
-solver's neighbor walk reads a row's two slices (SocialNetwork._row), not
-the pairs neighbors() builds, because it walks every row every round.
+file, the 50,000-edge benchmark network retains 74 B per edge. The solver's
+neighbor walk reads a row's two slices (SocialNetwork._row), not the pairs
+neighbors() builds, because it walks every row every round.
 """
 
 from __future__ import annotations
@@ -57,11 +56,9 @@ class SocialNetwork:
     id has, and weights are mostly cached small ints, so an edge costs two
     list slots in each direction, and ids and weights are unbounded Python
     ints. Read from a file, the 50,000-edge benchmark network retains 74 B
-    per edge (tracemalloc), against 211 B for the tuple of (neighbor,
-    weight) tuples per node that this layout replaced. Nodes, edges and
-    equality are derived from the rows. They are built once at
-    construction, so the finished network can be shared across workers
-    without synchronization.
+    per edge (tracemalloc). Nodes, edges and equality are derived from the
+    rows. They are built once at construction, so the finished network can
+    be shared across workers without synchronization.
 
     neighbors() builds the (neighbor, weight) pairs of one row for library
     callers. The solver's neighbor walk reads the two row slices through
@@ -234,7 +231,6 @@ def total_variation(
 # Mention file row:  src_id <TAB> dst_id <TAB> count
 # Network file row:  u <TAB> v <TAB> weight   (written u < v, read either way)
 
-MENTION_COLUMNS = ("src_id", "dst_id", "count")
 NETWORK_COLUMNS = ("u", "v", "weight")
 
 

@@ -256,8 +256,6 @@ def seed_points(seeds: Mapping[int, GroundTruthRecord]) -> dict[int, GeoPoint]:
 #                  everything after the second tab, spaces and tabs included)
 # Seeds:           user_id <TAB> lat <TAB> lon <TAB> source <TAB> spread_km
 
-GPS_COLUMNS = ("user_id", "lat", "lon", "unix_timestamp")
-CLAIM_COLUMNS = ("user_id", "observed_at", "raw_text")
 SEED_COLUMNS = ("user_id", "lat", "lon", "source", "spread_km")
 
 

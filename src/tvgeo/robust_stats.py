@@ -53,23 +53,30 @@ _MAX_SPREAD_COS = math.cos(math.radians(88.0))
 
 @dataclass(frozen=True)
 class WeightedPointSet:
-    """A non-empty multiset of points with strictly positive finite weights."""
+    """A non-empty multiset of points with strictly positive finite weights
+    whose sum is finite too, so no sum the median takes overflows."""
 
     points: tuple[GeoPoint, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
         points = tuple(self.points)
-        weights = tuple(float(w) for w in self.weights)
+        try:
+            weights = tuple(map(float, self.weights))
+            total = math.fsum(weights)
+        except OverflowError:
+            raise ValueError("a weight or the weight sum is too large for a float") from None
         if not points:
             raise ValueError("point set must not be empty")
         if len(weights) != len(points):
             raise ValueError(
                 f"{len(points)} points but {len(weights)} weights"
             )
-        for w in weights:
-            if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"weights must be positive and finite, got {w!r}")
+        # Positive weights with a finite sum are each finite, so one min and
+        # one fsum check them all without a Python loop over the weights.
+        if not (min(weights) > 0.0 and math.isfinite(total)):
+            bad = next(w for w in weights if not 0.0 < w < math.inf)
+            raise ValueError(f"weights must be positive and finite, got {bad!r}")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 

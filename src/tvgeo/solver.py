@@ -22,9 +22,10 @@ result is back and the pool is closed (or the serial list is complete), so
 no worker and no later candidate of the round can still read the snapshot,
 and each candidate has at most one update, read before it is overwritten.
 That holds at any worker count, and it saves a copy of the located dict per
-round. The neighbor walk reads each node's row slices from the network's
-compressed rows (SocialNetwork._row), never building (neighbor, weight)
-pairs in the hot loop. The optional descent check
+round. Each update walks its node's neighbors once, reading the row slices
+from the network's compressed rows (SocialNetwork._row), never building
+(neighbor, weight) pairs in the hot loop; the descent guard's previous-point
+variation reuses that walk's points and weights. The optional descent check
 runs in node_update and costs one more variation sum per located node that
 moved within the median tolerance.
 """
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import median
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, TextIO
 
 from . import _tsv, _workers
 from .geodesy import GeoPoint, geodesic_distance
@@ -114,12 +115,15 @@ def node_update(
     """Candidate location and dispersion for non-seed node i against the
     iteration-k snapshot, or None when i has no located neighbors, the
     candidate's dispersion exceeds gamma, or the candidate would increase the
-    variation of a located i. check_descent: as for infer."""
+    variation of a located i. It walks i's neighbors once: the median, the
+    candidate's and the previous point's variations and the descent slack
+    all read that walk's points and weights. check_descent: as for infer."""
     located = state.located
     points, weights = _located_neighbors(i, located, network)
     if not points:
         return None
-    neighbor_set = WeightedPointSet(tuple(points), tuple(weights))
+    neighbor_set = WeightedPointSet(points, weights)
+    weights = neighbor_set.weights
     candidate = geodesic_l1_median(neighbor_set)
     distances = [geodesic_distance(candidate, p) for p in points]
     disp = median(distances)
@@ -133,8 +137,9 @@ def node_update(
         # A move within the median tolerance satisfies the descent bound by
         # the 1-Lipschitz property; check_descent verifies that claim.
         return candidate, disp
+    # Both variations in nodal_variation's order, from the one walk above.
     variation = _weighted_sum(weights, distances)
-    old_variation = nodal_variation(i, previous.point, state, network)
+    old_variation = _weighted_sum(weights, [geodesic_distance(previous.point, p) for p in points])
     if moved and variation > old_variation:
         # Hemisphere-spanning neighbor sets make the median fall back to the
         # medoid, which can regress past the refined previous location; a
@@ -175,19 +180,22 @@ def infer(
     reports: list[IterationStats] = []
     for k in range(1, cfg.iterations + 1):
         snapshot = EstimateState(located, k - 1)
-        updates = _round_updates(candidates, snapshot, network, cfg, threads, check_descent)
+        context = (snapshot, network, cfg, check_descent)
+        results = _workers.fork_map(node_update, candidates, context, threads)
 
         # Every update of the round is in hand, so the snapshot is no longer
         # read and the updates go into it in place.
         newly = 0
-        for user, point, disp in updates:
+        for user, update in zip(candidates, results):
+            if update is None:
+                continue
             previous = located.get(user)
             if previous is None:
                 first = k
                 newly += 1
             else:
                 first = previous.first_located_iteration
-            located[user] = LocationEstimate(user, point, disp, SOURCE_INFERRED, first)
+            located[user] = LocationEstimate(user, *update, SOURCE_INFERRED, first)
         reports.append(IterationStats(k, newly, len(located)))
 
     _add_seed_dispersions(located, seeds, network)
@@ -208,16 +216,16 @@ def spatial_label_propagation(
 
 def _located_neighbors(
     i: int, located: Mapping[int, LocationEstimate], network: SocialNetwork
-) -> tuple[list[GeoPoint], list[float]]:
-    """The points of i's located neighbors and their edge weights as floats,
-    in adjacency order."""
+) -> tuple[list[GeoPoint], list[int]]:
+    """The points of i's located neighbors and their edge weights, the
+    network's ints, in adjacency order."""
     points: list[GeoPoint] = []
-    weights: list[float] = []
+    weights: list[int] = []
     for neighbor, weight in zip(*network._row(i)):
         est = located.get(neighbor)
         if est is not None:
             points.append(est.point)
-            weights.append(float(weight))
+            weights.append(weight)
     return points, weights
 
 
@@ -227,20 +235,6 @@ def _weighted_sum(weights: Iterable[float], distances: Iterable[float]) -> float
     for weight, distance in zip(weights, distances):
         total += weight * distance
     return total
-
-
-def _round_updates(
-    candidates: Sequence[int],
-    snapshot: EstimateState,
-    network: SocialNetwork,
-    cfg: SolverConfig,
-    threads: int,
-    check_descent: bool,
-) -> list[tuple[int, GeoPoint, float]]:
-    """(user, point, dispersion) of every accepted update, in candidate order."""
-    context = (snapshot, network, cfg, check_descent)
-    results = _workers.fork_map(node_update, candidates, context, threads)
-    return [(node, *update) for node, update in zip(candidates, results) if update is not None]
 
 
 def _add_seed_dispersions(

@@ -277,25 +277,53 @@ class TestInfer:
     def test_descent_violation_is_an_error_not_a_traceback(
         self, tmp_path, monkeypatch, capsys
     ):
-        # Round 2 re-proposes every node's own point, so the check compares
-        # the candidate's variation (0) with a previous variation that the
-        # workers, and only they, read as -1 km.
-        parent, real_variation = os.getpid(), solver.nodal_variation
-
-        def lower_in_workers(*args):
-            return -1.0 if os.getpid() != parent else real_variation(*args)
-
-        monkeypatch.setattr(solver, "nodal_variation", lower_in_workers)
+        # Round 2 re-proposes every node's own point, so the candidate's
+        # variation (0) equals the previous one; a negative median tolerance,
+        # set before the pool forks, makes the allowed slack negative and the
+        # workers' guard fail.
+        monkeypatch.setattr(solver, "TOL_KM", -0.01)
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # a pool on any host
         network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
         seeds = write(tmp_path / "seeds.tsv", seeds_line(1, GeoPoint(40.0, -3.0)))
         args = ["infer", str(network), str(seeds), "--out", str(tmp_path / "est.tsv")]
         assert main(args + ["--iterations", "2", "--check-descent", "--threads", "2"]) == 1
-        assert "error: node 2: variation rose from -1.000000 to 0.000000 km" in (
-            capsys.readouterr().err
-        )
+        assert (
+            "error: node 2: variation rose from 0.000000 to 0.000000 km"
+            " (allowed slack -0.010000 km)"
+        ) in capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert _workers._CONTEXT is None
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # One weight past the float range.
+            f"1\t2\t{10**400}\n2\t100\t1\n",
+            # Two finite weights on node 2 whose sum is past the float range.
+            # Node 3, located in round 1, gives node 2 a third point in round
+            # 2: a set whose median sums the weights.
+            f"1\t2\t{10**308}\n2\t100\t{10**308}\n2\t3\t1\n",
+        ],
+        ids=["weight", "weight-sum"],
+    )
+    def test_huge_weight_is_an_error_not_a_traceback(
+        self, tmp_path, monkeypatch, capsys, rows, threads
+    ):
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # a pool on any host
+        p = GeoPoint(40.0, -3.0)
+        star = "".join(f"1\t{u}\t1\n" for u in range(3, 100))
+        network = write(tmp_path / "net.tsv", rows + star)
+        seeds = write(
+            tmp_path / "seeds.tsv", seeds_line(1, p) + seeds_line(100, destination(p, 90.0, 5.0))
+        )
+        out = tmp_path / "est.tsv"
+        args = ["infer", str(network), str(seeds), "--out", str(out), "--threads", threads]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_out_of_range_seed_latitude_names_the_line(self, tmp_path, path_fixture, capsys):
         network, _, p = path_fixture

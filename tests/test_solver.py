@@ -15,6 +15,7 @@ import pytest
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
 from tvgeo import _workers, solver
 from tvgeo.graph import SocialNetwork
+from tvgeo.ground_truth import seed_points
 from tvgeo.robust_stats import WeightedPointSet, weighted_distance_sum
 from tvgeo.solver import (
     EstimateState,
@@ -27,6 +28,7 @@ from tvgeo.solver import (
     spatial_label_propagation,
     write_estimates_file,
 )
+from tvgeo.synth import SynthConfig, generate
 
 from oracles import grid_search_median
 
@@ -389,6 +391,30 @@ class TestInfer:
         for pid in leaked:
             os.kill(pid, signal.SIGKILL)
         assert leaked == []
+
+    @pytest.mark.parametrize("check_descent", [False, True])
+    def test_each_update_walks_its_neighbors_once(self, monkeypatch, check_descent):
+        # One walk per node_update call and one per seed for its final
+        # dispersion; the descent guard reuses the update's walk.
+        result = generate(SynthConfig(
+            num_cities=4, users_per_city=60, city_radius_km=15.0, intra_edge_mean_degree=5.0,
+            inter_edge_fraction=0.05, seed_fraction=0.1, rng_seed=17,
+        ))
+        seeds = seed_points(result.seeds)
+        calls = dict.fromkeys(["_located_neighbors", "node_update", "nodal_variation"], 0)
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        infer(result.network, seeds, SolverConfig(), check_descent=check_descent)
+        assert calls["node_update"] > len(seeds) > 0
+        assert calls["_located_neighbors"] == calls["node_update"] + len(seeds)
+        assert calls["nodal_variation"] == 0
 
     def test_isolated_seed_passes_through(self):
         net = SocialNetwork.from_edges([(1, 2, 1)])
