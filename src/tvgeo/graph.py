@@ -20,6 +20,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 from . import _tsv
 from .geodesy import GeoPoint, geodesic_distance
 
+# The largest int that float() holds: a larger one rounds to 2**1024 and
+# overflows. The median and the variation take weights as floats, so the edge
+# check rejects any weight above it.
+_MAX_WEIGHT = 2**1024 - 2**970 - 1
+
 
 class WeightedEdge(NamedTuple):
     """An undirected reciprocated tie, canonically ordered u < v. Unchecked:
@@ -54,11 +59,13 @@ class SocialNetwork:
     weights in neighbor order. Every edge is listed in the rows of both of
     its endpoints. The neighbor lists point at the one int object each node
     id has, and weights are mostly cached small ints, so an edge costs two
-    list slots in each direction, and ids and weights are unbounded Python
-    ints. Read from a file, the 50,000-edge benchmark network retains 74 B
-    per edge (tracemalloc). Nodes, edges and equality are derived from the
-    rows. They are built once at construction, so the finished network can
-    be shared across workers without synchronization.
+    list slots in each direction. Ids are unbounded Python ints; weights are
+    ints from 1 to the largest int a float holds, since the median and the
+    variation take them as floats. Read from a file, the 50,000-edge
+    benchmark network retains 74 B per edge (tracemalloc). Nodes, edges and
+    equality are derived from the rows. They are built once at
+    construction, so the finished network can be shared across workers
+    without synchronization.
 
     neighbors() builds the (neighbor, weight) pairs of one row for library
     callers. The solver's neighbor walk reads the two row slices through
@@ -66,9 +73,10 @@ class SocialNetwork:
     costs time the flat rows save.
 
     Construction is the one edge check. Edges are read one at a time, in
-    either orientation; a self-loop, a weight below 1 or a pair given twice
-    raises ValueError at the first such edge in input order, so a reader
-    that feeds it rows can name the line.
+    either orientation; a self-loop, a weight below 1 or past the float
+    range, or a pair given twice raises ValueError at the first such edge in
+    input order, so a reader that feeds it rows can name the line. The
+    message names the edge, never a too-large weight's digits.
     """
 
     __slots__ = ("_ids", "_index", "_offsets", "_neighbor_ids", "_weights")
@@ -89,12 +97,16 @@ class SocialNetwork:
         # later row made are freed once it is checked.
         adjacency: dict[int, tuple[int, dict[int, int]]] = {}
         entry_of = adjacency.get
+        max_weight = _MAX_WEIGHT
         for u, v, w in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             w = int(w)
-            if w < 1:
-                raise ValueError(f"edge ({min(u, v)}, {max(u, v)}) has non-positive weight {w}")
+            if not 1 <= w <= max_weight:
+                edge = f"edge ({min(u, v)}, {max(u, v)})"
+                if w < 1:
+                    raise ValueError(f"{edge} has non-positive weight {w}")
+                raise ValueError(f"{edge} has a weight too large for a float")
             entry = entry_of(u)
             if entry is None:
                 entry = adjacency[u] = (u, {})
@@ -186,7 +198,14 @@ def build_reciprocal_network(
     invariant under permutation of the input stream.
     """
     report = IngestReport()
-    totals: dict[tuple[int, int], int] = {}
+    # rows[src] is src's {dst: directed total}. Every key is the one int
+    # object kept for its user id in interned, taken when the row or the
+    # pair is first inserted, so a user's id costs one object however many
+    # rows list it.
+    rows: dict[int, dict[int, int]] = {}
+    interned: dict[int, int] = {}
+    intern = interned.setdefault
+    row_of = rows.get
     for src, dst, count in records:
         report.records_in += 1
         if src == dst:
@@ -195,18 +214,37 @@ def build_reciprocal_network(
         if count < 1:
             report.dropped_nonpositive += 1
             continue
-        key = (src, dst)
-        totals[key] = totals.get(key, 0) + count
-    report.directed_pairs = len(totals)
+        row = row_of(src)
+        if row is None:
+            row = rows[intern(src, src)] = {}
+        total = row.get(dst)
+        if total is None:
+            row[intern(dst, dst)] = count
+        else:
+            row[dst] = total + count
+    del interned
+    report.directed_pairs = sum(map(len, rows.values()))
 
-    network = SocialNetwork.from_edges(
-        (src, dst, min(outgoing, totals[(dst, src)]))
-        for (src, dst), outgoing in totals.items()
-        if src < dst and (dst, src) in totals
-    )
+    network = SocialNetwork.from_edges(_reciprocated(rows))
     report.edges_out = network.num_edges
     report.users_out = network.num_nodes
     return network, report
+
+
+def _reciprocated(rows: dict[int, dict[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """(src, dst, weight) of each reciprocated pair, src < dst, in ascending
+    src order. Each row is popped once its edges are out: every later source
+    is larger, so no later pair reads it, and the network under construction
+    takes its memory."""
+    row_of = rows.get
+    for src in sorted(rows):
+        for dst, outgoing in rows.pop(src).items():
+            if src < dst:
+                back = row_of(dst)
+                if back is not None:
+                    incoming = back.get(src)
+                    if incoming is not None:
+                        yield src, dst, min(outgoing, incoming)
 
 
 def total_variation(

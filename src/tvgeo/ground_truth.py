@@ -49,7 +49,7 @@ SOURCE_GPS = "gps"
 SOURCE_GAZETTEER = "gazetteer"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GpsEvent:
     user: int
     point: GeoPoint
@@ -60,7 +60,7 @@ class GpsEvent:
             raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProfileClaim:
     user: int
     text: str
@@ -260,11 +260,15 @@ SEED_COLUMNS = ("user_id", "lat", "lon", "source", "spread_km")
 
 
 def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
+    """The events in file order. A user's events share one int object for
+    the user id."""
     events = []
+    users: dict[int, int] = {}
     with _tsv.Rows(path) as rows:
         for fields in rows:
             _tsv.require_fields(fields, 4)
             user = _tsv.parse_int(fields[0], "user_id")
+            user = users.setdefault(user, user)
             point = _tsv.parse_point(fields[1], fields[2])
             ts = _tsv.parse_float(fields[3], "timestamp")
             events.append(GpsEvent(user, point, ts))

@@ -26,11 +26,11 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from statistics import median as _scalar_median
 from typing import Iterable
 
 from .geodesy import (
     _PAIR_SLACK_KM,
+    MAX_RADIUS_KM,
     MEAN_RADIUS_KM,
     MIN_RADIUS_KM,
     GeoPoint,
@@ -205,9 +205,39 @@ def geodesic_l1_median(s: WeightedPointSet) -> GeoPoint:
 def dispersion(center: GeoPoint, s: WeightedPointSet) -> float:
     """Median geodesic distance from center to the points (weights ignored).
 
-    Even-sized sets yield the mean of the two middle distances.
+    Even-sized sets yield the mean of the two middle distances: the float
+    statistics.median returns. Only the points that can hold a middle rank
+    are measured. Point j's computed distance d_j is within [lo_j, hi_j] =
+    [MIN_RADIUS_KM * sigma_j - _PAIR_SLACK_KM, MAX_RADIUS_KM * sigma_j +
+    _PAIR_SLACK_KM], sigma_j its unit-sphere angle from center (the _medoid
+    bracket). The k-th smallest distance then lies between the k-th smallest
+    lo and the k-th smallest hi. A point whose hi is below the lower middle
+    rank's floor is shorter than that rank, and one whose lo is above the
+    upper middle rank's ceiling is longer, so dropping them shifts the
+    middle ranks down by the count below and leaves their values.
     """
-    return float(_scalar_median(geodesic_distance(center, p) for p in s.points))
+    points = s.points
+    n = len(points)
+    origin = _unit_vector(center)
+    sigmas = [
+        2.0 * math.asin(min(1.0, 0.5 * math.dist(origin, _unit_vector(p)))) for p in points
+    ]
+    lows = [MIN_RADIUS_KM * sigma - _PAIR_SLACK_KM for sigma in sigmas]
+    highs = [MAX_RADIUS_KM * sigma + _PAIR_SLACK_KM for sigma in sigmas]
+    lower, upper = (n - 1) // 2, n // 2  # the middle ranks, equal for odd n
+    floor = sorted(lows)[lower]
+    ceiling = sorted(highs)[upper]
+    below = 0
+    measured = []
+    for p, lo, hi in zip(points, lows, highs):
+        if hi < floor:
+            below += 1
+        elif lo <= ceiling:
+            measured.append(geodesic_distance(center, p))
+    measured.sort()
+    if lower == upper:
+        return measured[lower - below]
+    return (measured[lower - below] + measured[upper - below]) / 2
 
 
 def _unproject(sin0: float, cos0: float, lon0: float, x: float, y: float) -> tuple[float, float]:

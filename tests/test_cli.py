@@ -66,6 +66,20 @@ class TestIngest:
         assert main(["ingest", str(mentions), "--out", str(out)]) == 1
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stdout", [False, True])
+    def test_weight_past_the_float_range_fails_naming_the_pair(self, tmp_path, capsys, stdout):
+        # Both directions are past the float range, so their minimum is too.
+        mentions = write(
+            tmp_path / "m.tsv", f"1\t2\t5\n2\t1\t3\n9\t4\t{10**400}\n4\t9\t{10**309}\n"
+        )
+        out = tmp_path / "net.tsv"
+        args = ["ingest", str(mentions)] + (["--stdout"] if stdout else ["--out", str(out)])
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: edge (4, 9) has a weight too large for a float\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv"]
+
     def test_stdout_mode_writes_data_to_stdout(self, mention_file, capsys):
         assert main(["ingest", str(mention_file), "--stdout"]) == 0
         out = capsys.readouterr().out
@@ -324,6 +338,16 @@ class TestInfer:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
         assert multiprocessing.active_children() == []
+
+    def test_weight_past_the_float_range_names_the_line(self, tmp_path, capsys):
+        network = write(tmp_path / "net.tsv", f"1\t2\t1\n3\t2\t{10**400}\n")
+        seeds = write(tmp_path / "seeds.tsv", seeds_line(1, GeoPoint(40.0, -3.0)))
+        out = tmp_path / "est.tsv"
+        assert main(["infer", str(network), str(seeds), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {network}:2: edge (2, 3) has a weight too large for a float\n"
+        )
+        assert not out.exists()
 
     def test_out_of_range_seed_latitude_names_the_line(self, tmp_path, path_fixture, capsys):
         network, _, p = path_fixture

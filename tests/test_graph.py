@@ -1,11 +1,14 @@
 import gc
+import math
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
 from tvgeo.graph import (
+    _MAX_WEIGHT,
     SocialNetwork,
     WeightedEdge,
     build_reciprocal_network,
@@ -207,8 +210,9 @@ class TestCompressedRows:
             ((-3, 7, 0), r"edge \(-3, 7\) has non-positive weight 0"),
             ((9, -2, -5), r"edge \(-2, 9\) has non-positive weight -5"),
             ((12, 11, 1), r"duplicate edge \(11, 12\)"),
+            ((9, 4, 10**400), r"edge \(4, 9\) has a weight too large for a float"),
         ],
-        ids=["self-loop", "zero-weight", "negative-weight", "duplicate"],
+        ids=["self-loop", "zero-weight", "negative-weight", "duplicate", "weight-past-float"],
     )
     def test_errors_fire_at_the_first_offending_edge(self, tmp_path, bad, message):
         rng = random.Random(313)
@@ -225,6 +229,82 @@ class TestCompressedRows:
             line = edges.index(bad) + 1
             with pytest.raises(ValueError, match=rf"net\.tsv:{line}: {message}$"):
                 read_network_file(path)
+
+
+class TestWeightRange:
+    def test_the_largest_accepted_weight_is_the_largest_float(self):
+        assert float(_MAX_WEIGHT) == sys.float_info.max
+        with pytest.raises(OverflowError):
+            float(_MAX_WEIGHT + 1)
+        net = SocialNetwork.from_edges([(1, 2, _MAX_WEIGHT)])
+        assert net.neighbors(1) == ((2, _MAX_WEIGHT),)
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\) has a weight too large for a float$"):
+            SocialNetwork.from_edges([(2, 1, _MAX_WEIGHT + 1)])
+
+    def test_total_variation_takes_the_largest_accepted_weight(self):
+        a = GeoPoint(0.0, 0.0)
+        near, far = destination(a, 90.0, 0.5), destination(a, 90.0, 2.0)
+        net = SocialNetwork.from_edges([(1, 2, _MAX_WEIGHT), (1, 3, _MAX_WEIGHT)])
+        tv, skipped = total_variation(net, {1: a, 2: near})
+        assert (tv, skipped) == (sys.float_info.max * geodesic_distance(a, near), 1)
+        assert math.isfinite(tv)
+        tv, _ = total_variation(net, {1: a, 2: near, 3: far})
+        assert tv == math.inf
+
+    def test_ingest_names_the_pair_whose_minimum_is_past_float(self):
+        big = 2 * _MAX_WEIGHT
+        records = [(1, 2, 3), (2, 1, 4), (7, 5, big), (5, 7, _MAX_WEIGHT + 1), (2, 7, big)]
+        with pytest.raises(ValueError, match=r"^edge \(5, 7\) has a weight too large for a float$"):
+            build_reciprocal_network(records)
+        # A pair whose smaller direction fits is an edge of that weight.
+        net, _ = build_reciprocal_network([(7, 5, big), (5, 7, _MAX_WEIGHT)])
+        assert list(net.edges()) == [WeightedEdge(5, 7, _MAX_WEIGHT)]
+
+
+class TestIngestMemory:
+    """Traced peak of build_reciprocal_network(iter_mention_file(path)) per
+    directed pair, on 39,175 mention records of 22,174 directed pairs among
+    4,000 ten-digit user ids, 85% of the pairs reciprocated. Per-source rows
+    keyed by one int object per user peak at 110 B per directed pair
+    (CPython 3.11), and 88 B on the seed-ingest benchmark's stream. A dict
+    keyed by (src, dst) tuples peaked at 249 B per pair here."""
+
+    MAX_PEAK_B_PER_PAIR = 150
+
+    @pytest.fixture(scope="class")
+    def mention_file(self, tmp_path_factory):
+        rng = random.Random(317)
+        ids = rng.sample(range(10**9, 10**10), 4000)
+        pairs = set()
+        records = []
+        while len(pairs) < 12000:
+            u, v = rng.sample(ids, 2)
+            if (v, u) in pairs or (u, v) in pairs:
+                continue
+            pairs.add((u, v))
+            for src, dst in ((u, v), (v, u)) if rng.random() < 0.85 else ((u, v),):
+                for _ in range(rng.choice([1, 1, 2, 3])):
+                    records.append((src, dst, rng.choice([1, 1, 2, 5])))
+        records += [(u, u, 1) for u in rng.sample(ids, 100)]
+        rng.shuffle(records)
+        path = tmp_path_factory.mktemp("memory") / "mentions.tsv"
+        path.write_text("".join(f"{s}\t{d}\t{c}\n" for s, d, c in records), encoding="utf-8")
+        return path
+
+    def test_ingest_peaks_under_the_bound(self, mention_file):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net, report = build_reciprocal_network(iter_mention_file(mention_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.edges_out == net.num_edges > 0.4 * report.directed_pairs
+        per_pair = (peak - before) / report.directed_pairs
+        assert per_pair < self.MAX_PEAK_B_PER_PAIR, (
+            f"ingest peaks at {per_pair:.1f} B per directed pair"
+        )
 
 
 class TestNetworkMemory:

@@ -1,9 +1,12 @@
+import gc
 import math
 import random
+import statistics
+import tracemalloc
 
 import pytest
 
-from tvgeo import _workers, ground_truth
+from tvgeo import _workers, ground_truth, robust_stats
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
 from tvgeo.ground_truth import (
     MAX_CLAIM_AGE_SECONDS,
@@ -368,6 +371,32 @@ class TestGroupingHelpers:
         assert written[0] == written[1] == written[2]
         assert 50 < len(read_seeds_file(tmp_path / "seeds-1.tsv")) < 200
 
+    def test_gps_homes_measures_few_spread_distances(self, monkeypatch):
+        rng = random.Random(19)
+        events = [e for user in range(2000) for e in _seed_ingest_like_user(rng, user)]
+        spread_points = 0
+
+        def every_distance(center, point_set):
+            nonlocal spread_points
+            spread_points += len(point_set)
+            return statistics.median(geodesic_distance(center, p) for p in point_set.points)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ground_truth, "dispersion", every_distance)
+            want = gps_homes(events)
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return geodesic_distance(a, b)
+
+        monkeypatch.setattr(robust_stats, "geodesic_distance", counted)
+        assert gps_homes(events) == want
+        # The spread of the users that pass the speed filter measures 23% of
+        # their events, and 24% of the seed-ingest benchmark's at seed 4242.
+        assert calls < 0.35 * spread_points
+
     def test_gazetteer_homes_groups_per_user(self):
         gaz = Gazetteer({"malibu, ca": GeoPoint(34.03, -118.78)})
         claims = [
@@ -418,3 +447,42 @@ class TestFiles:
         path.write_text("1\t0.0\t0.0\toracle\t0.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_seeds_file(path)
+
+
+class TestGpsEventMemory:
+    """Bytes per event that read_gps_events_file retains, traced with
+    tracemalloc on 24,000 events of 3,000 ten-digit user ids, written as the
+    seed-ingest benchmark writes them. Slotted events that share one int per
+    user retain 188 B per event (CPython 3.11); events with a __dict__ and
+    an int object per row retained 256 B."""
+
+    MAX_RETAINED_B_PER_EVENT = 220
+
+    @pytest.fixture(scope="class")
+    def events_file(self, tmp_path_factory):
+        rng = random.Random(319)
+        users = rng.sample(range(10**9, 10**10), 3000)
+        path = tmp_path_factory.mktemp("memory") / "gps.tsv"
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(24000):
+                p = _anywhere(rng)
+                ts = 1.7e9 + rng.uniform(0.0, 90.0) * DAY
+                fh.write(f"{rng.choice(users)}\t{p.lat!r}\t{p.lon!r}\t{ts!r}\n")
+        return path, 24000
+
+    def test_read_retains_under_the_bound(self, events_file):
+        path, n_events = events_file
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            events = read_gps_events_file(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == n_events
+        per_event = (retained - before) / n_events
+        assert per_event < self.MAX_RETAINED_B_PER_EVENT, (
+            f"the events retain {per_event:.1f} B each"
+        )

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import math
 import random
+import statistics
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,29 @@ class TestDispersion:
         unweighted = dispersion(center, WeightedPointSet.unweighted(pts))
         weighted = dispersion(center, WeightedPointSet(tuple(pts), (100.0, 0.1, 7.0)))
         assert unweighted == weighted
+
+    @pytest.mark.parametrize("kind", ["local", "worldwide", "tied"])
+    def test_matches_statistics_median_bit_for_bit(self, kind):
+        rng = random.Random(f"dispersion:{kind}")
+        for n in list(range(1, 31)) * 8:  # odd and even sizes
+            center = _worldwide_point(rng)
+            if kind == "local":
+                pts = [
+                    destination(center, rng.uniform(0.0, 360.0), rng.expovariate(0.2))
+                    for _ in range(n)
+                ]
+            elif kind == "worldwide":
+                pts = [_worldwide_point(rng) for _ in range(n)]
+            else:
+                # Repeated points, the center itself, and a ring of points
+                # at one range on different bearings: distances equal or
+                # equal to well inside the bracket's 10 m.
+                ring = [destination(center, bearing, 5.0) for bearing in (0.0, 90.0, 180.0, 270.0)]
+                pool = [center, destination(center, 30.0, 2.0)] + ring
+                pts = [rng.choice(pool) for _ in range(n)]
+            got = dispersion(center, WeightedPointSet.unweighted(pts))
+            want = statistics.median([geodesic_distance(center, p) for p in pts])
+            assert got.hex() == want.hex(), (center, pts)
 
 
 def _worldwide_point(rng: random.Random) -> GeoPoint:
