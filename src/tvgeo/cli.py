@@ -273,7 +273,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     result = generate(cfg)
     paths = write_synth_files(result, args.out_dir)
-    _write_manifest(args.out_dir / "synth", "synth", asdict(cfg), [])
+    _write_manifest(args.out_dir / "synth", "synth", asdict(cfg), {})
     print(
         f"synth: {result.network.num_nodes} networked users, "
         f"{result.network.num_edges} edges, {len(result.seeds)} seeds, "
@@ -329,6 +329,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         inputs.extend([args.network, args.train_seeds])
 
+    digests = {str(p): _sha256(p) for p in inputs}  # before a report may replace one
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "report.csv") as fh:
@@ -352,7 +353,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "train_seeds": _opt_str(args.train_seeds),
             "iterations": args.iterations,
         },
-        inputs,
+        digests,
     )
     print(
         f"eval: coverage {report.coverage:.4f}, median error "
@@ -371,9 +372,10 @@ def _write_output(
     if args.stdout:
         write(sys.stdout)
         return
+    digests = {str(p): _sha256(p) for p in inputs}  # before --out may replace one
     with atomic_write(args.out) as fh:
         write(fh)
-    _write_manifest(args.out, command, parameters, inputs)
+    _write_manifest(args.out, command, parameters, digests)
 
 
 def _opt_str(path: Path | None) -> str | None:
@@ -389,17 +391,17 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    anchor: Path, command: str, parameters: dict, inputs: Iterable[Path]
+    anchor: Path, command: str, parameters: dict, digests: dict[str, str]
 ) -> Path:
-    """Write ANCHOR.manifest.json. Everything except created_at is a pure
-    function of the command inputs, so manifests from identical runs differ
-    only in that one field."""
+    """Write ANCHOR.manifest.json, with the inputs' digests as they were
+    read. Everything except created_at is a pure function of the command
+    inputs, so manifests from identical runs differ only in that one field."""
     manifest = {
         "tool": "tvgeo",
         "version": __version__,
         "command": command,
         "parameters": _jsonable(parameters),
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": digests,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     path = Path(f"{anchor}.manifest.json")

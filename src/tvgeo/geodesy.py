@@ -171,21 +171,45 @@ def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
 
 
 # The least and greatest radii of curvature on WGS84: a(1 - e^2), the meridian
-# radius at the equator, and a / sqrt(1 - e^2), both radii at a pole. A
-# geodesic is between them times its unit-sphere central angle (near_ties
-# proves it); the medoid and ground_truth.max_speed bound distances with them.
+# radius at the equator, and a / sqrt(1 - e^2), both radii at a pole.
 _WGS84_E_SQ = WGS84_F * (2.0 - WGS84_F)
 MIN_RADIUS_KM = WGS84_A_KM * (1.0 - _WGS84_E_SQ)
 MAX_RADIUS_KM = WGS84_A_KM / math.sqrt(1.0 - _WGS84_E_SQ)
 
-# How far a computed geodesic_distance may fall outside the radius bracket
-# of its pair's chord angle, for the medoid and ground_truth.max_speed:
-# Vincenty's error is sub-millimetre, and the chord's ~2e-15 rounding, which
-# asin magnifies next to an antipode, moves the angle by at most
-# 2 sqrt(2e-15) rad, 0.6 m. The spherical fallback's mean radius is over
-# 0.4% inside the bracket, and it only serves pairs within a degree of
-# antipodal, 80 km and more from either bound.
+# How far a computed geodesic_distance may fall outside its radius bracket.
 _PAIR_SLACK_KM = 0.01
+
+
+def central_angle(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
+    """Unit-sphere central angle, in radians, of two _unit_vector outputs."""
+    return 2.0 * math.asin(min(1.0, 0.5 * math.dist(u, v)))
+
+
+def distance_bounds(sigma: float, weight: float = 1.0) -> tuple[float, float]:
+    """(MIN_RADIUS_KM * sigma - slack, MAX_RADIUS_KM * sigma + slack), with
+    slack = _PAIR_SLACK_KM (10 m) * weight: bounds on the computed
+    geodesic_distance of a pair whose central_angle is sigma. Term by term,
+    sum(w_j * d_j) lies within distance_bounds(sum(w_j * sigma_j), sum(w_j))
+    for w_j >= 0, up to the float sums' rounding, which the caller covers.
+
+    - Geodetic latitude and longitude map the unit sphere onto the ellipsoid
+      with local scales M (northward) and N (eastward), the meridian and
+      prime vertical radii, both within [MIN_RADIUS_KM, MAX_RADIUS_KM]. So
+      every curve on the ellipsoid is at least MIN_RADIUS_KM times as long
+      as its preimage, and the image of the great-circle arc is at most
+      MAX_RADIUS_KM * sigma long. The geodesic, the shortest curve, lies
+      between: 6,335 and 6,400 km times sigma, a spread of
+      (1 - e^2)^(-3/2) = 1.0101.
+    - The slack covers the computation: Vincenty's error is sub-millimetre,
+      and the chord's ~2e-15 rounding, which asin magnifies next to an
+      antipode, moves sigma by at most 2 sqrt(2e-15) rad, 0.6 m.
+    - The spherical fallback's mean radius is over 0.4% inside the bracket,
+      and it only serves pairs within a degree of antipodal, 80 km and more
+      from either bound.
+    """
+    slack = _PAIR_SLACK_KM * weight
+    return MIN_RADIUS_KM * sigma - slack, MAX_RADIUS_KM * sigma + slack
+
 
 # Chord ratio within which near_ties keeps a point: above the WGS84 spread
 # MAX_RADIUS_KM / MIN_RADIUS_KM = (1 - e^2)^(-3/2) = 1.0101.
@@ -206,17 +230,9 @@ def near_ties(
     sphere, so only the survivors need ranking by geodesic_distance. No
     dropped index can be a geodesic nearest:
 
-    - Geodetic latitude and longitude map the unit sphere onto the ellipsoid
-      with local scale M northward and N eastward, the meridian and prime
-      vertical radii, both within [MIN_RADIUS_KM, MAX_RADIUS_KM] =
-      [a(1 - e^2), a / sqrt(1 - e^2)]. So every curve on the ellipsoid is
-      at least MIN_RADIUS_KM times as long as its preimage on the unit
-      sphere, and the curve whose preimage is the great-circle arc is at
-      most MAX_RADIUS_KM * sigma long, sigma being the unit-sphere central
-      angle. The geodesic s, the shortest curve, lies between
-      MIN_RADIUS_KM * sigma and MAX_RADIUS_KM * sigma: a spread of
-      (1 - e^2)^(-3/2) = 1.0101. The spherical fallback uses the mean
-      radius, over 0.4% inside either bound.
+    - A geodesic s of unit-sphere central angle sigma lies between
+      MIN_RADIUS_KM * sigma and MAX_RADIUS_KM * sigma (distance_bounds): a
+      spread of (1 - e^2)^(-3/2) = 1.0101.
     - The chord c = 2 sin(sigma / 2) is concave on [0, 2 pi] with c(0) = 0,
       so c(r sigma) <= r c(sigma) for r >= 1, and c is increasing up to pi.
       Hence a chord ratio above r implies an angle ratio above r (when

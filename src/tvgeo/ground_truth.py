@@ -9,17 +9,12 @@ Each GPS user is judged on their own events alone, so gps_homes maps
 gps_home over the users in forked worker processes (_workers.fork_map, as
 the solver maps its rounds), with the same result for any worker count.
 
-The speed filter measures only the legs that can be the fastest. A WGS84
-geodesic of unit-sphere central angle sigma is between MIN_RADIUS_KM * sigma
-and MAX_RADIUS_KM * sigma long (6,335 and 6,400 km times sigma;
-geodesy.near_ties proves it), and a computed geodesic_distance is within
-_PAIR_SLACK_KM (10 m) of that bracket, with sigma taken from the chord
-between _unit_vector outputs. So a leg of h hours has a computed speed within
-[MIN_RADIUS_KM * sigma - 10 m, MAX_RADIUS_KM * sigma + 10 m] / h, the
-division rounding both ends the same way as the speed. A leg whose upper
-bound is below the largest lower bound is slower than some other leg, so
-max_speed calls geodesic_distance only for the legs whose upper bound
-reaches it, and returns the same float as measuring every leg.
+The speed filter measures only the legs that can be the fastest. A leg of h
+hours whose geodesy.distance_bounds are (lo, hi) has a computed speed within
+[lo / h, hi / h], the division rounding both ends the same way as the speed.
+A leg whose upper bound is below the largest lower bound is slower than some
+other leg, so max_speed calls geodesic_distance only for the legs whose
+upper bound reaches it, and returns the same float as measuring every leg.
 """
 
 from __future__ import annotations
@@ -30,14 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import _tsv, _workers
-from .geodesy import (
-    _PAIR_SLACK_KM,
-    MAX_RADIUS_KM,
-    MIN_RADIUS_KM,
-    GeoPoint,
-    _unit_vector,
-    geodesic_distance,
-)
+from .geodesy import GeoPoint, _unit_vector, central_angle, distance_bounds, geodesic_distance
 from .robust_stats import WeightedPointSet, dispersion, geodesic_l1_median
 
 MIN_GPS_EVENTS = 3
@@ -126,8 +114,8 @@ def max_speed(events: Sequence[GpsEvent]) -> float:
 
     A leg whose time gap is zero, or so small that its hours round to 0.0,
     counts as infinite speed when the points differ and is skipped when they
-    coincide. Only the legs that the chord bracket (module docstring) cannot
-    rule out are measured.
+    coincide. Only the legs that the distance bracket (module docstring)
+    cannot rule out are measured.
     """
     if len(events) < 2:
         raise ValueError("max_speed needs at least two events")
@@ -144,9 +132,9 @@ def max_speed(events: Sequence[GpsEvent]) -> float:
             if geodesic_distance(prev.point, cur.point) > 0.0:
                 return math.inf
             continue
-        sigma = 2.0 * math.asin(min(1.0, 0.5 * math.dist(vectors[k - 1], vectors[k])))
-        floor = max(floor, (MIN_RADIUS_KM * sigma - _PAIR_SLACK_KM) / hours)
-        legs.append(((MAX_RADIUS_KM * sigma + _PAIR_SLACK_KM) / hours, k, hours))
+        lo, hi = distance_bounds(central_angle(vectors[k - 1], vectors[k]))
+        floor = max(floor, lo / hours)
+        legs.append((hi / hours, k, hours))
     fastest = 0.0
     for hi, k, hours in legs:
         if hi >= floor:
@@ -224,6 +212,8 @@ def gazetteer_homes(
     claims: Iterable[ProfileClaim], gazetteer: Gazetteer, now: float
 ) -> dict[int, GroundTruthRecord]:
     """Group claims by user and keep those that pass gazetteer_home."""
+    if not math.isfinite(now):
+        raise ValueError(f"now must be finite, got {now}")
     return _homes_by_user(claims, lambda user_claims: gazetteer_home(user_claims, gazetteer, now))
 
 

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .geodesy import (
-    _PAIR_SLACK_KM,
-    MAX_RADIUS_KM,
     MEAN_RADIUS_KM,
-    MIN_RADIUS_KM,
     GeoPoint,
     _unit_vector,
+    central_angle,
+    distance_bounds,
     geodesic_distance,
 )
 
@@ -207,29 +206,23 @@ def dispersion(center: GeoPoint, s: WeightedPointSet) -> float:
 
     Even-sized sets yield the mean of the two middle distances: the float
     statistics.median returns. Only the points that can hold a middle rank
-    are measured. Point j's computed distance d_j is within [lo_j, hi_j] =
-    [MIN_RADIUS_KM * sigma_j - _PAIR_SLACK_KM, MAX_RADIUS_KM * sigma_j +
-    _PAIR_SLACK_KM], sigma_j its unit-sphere angle from center (the _medoid
-    bracket). The k-th smallest distance then lies between the k-th smallest
-    lo and the k-th smallest hi. A point whose hi is below the lower middle
-    rank's floor is shorter than that rank, and one whose lo is above the
-    upper middle rank's ceiling is longer, so dropping them shifts the
-    middle ranks down by the count below and leaves their values.
+    are measured: the k-th smallest distance lies between the k-th smallest
+    lo and the k-th smallest hi of the points' geodesy.distance_bounds. A
+    point whose hi is below the lower middle rank's floor is shorter than
+    that rank, and one whose lo is above the upper middle rank's ceiling is
+    longer, so dropping them shifts the middle ranks down by the count below
+    and leaves their values.
     """
     points = s.points
     n = len(points)
     origin = _unit_vector(center)
-    sigmas = [
-        2.0 * math.asin(min(1.0, 0.5 * math.dist(origin, _unit_vector(p)))) for p in points
-    ]
-    lows = [MIN_RADIUS_KM * sigma - _PAIR_SLACK_KM for sigma in sigmas]
-    highs = [MAX_RADIUS_KM * sigma + _PAIR_SLACK_KM for sigma in sigmas]
+    bounds = [distance_bounds(central_angle(origin, _unit_vector(p))) for p in points]
     lower, upper = (n - 1) // 2, n // 2  # the middle ranks, equal for odd n
-    floor = sorted(lows)[lower]
-    ceiling = sorted(highs)[upper]
+    floor = sorted(lo for lo, _ in bounds)[lower]
+    ceiling = sorted(hi for _, hi in bounds)[upper]
     below = 0
     measured = []
-    for p, lo, hi in zip(points, lows, highs):
+    for p, (lo, hi) in zip(points, bounds):
         if hi < floor:
             below += 1
         elif lo <= ceiling:
@@ -258,19 +251,16 @@ def _medoid(s: WeightedPointSet) -> GeoPoint:
     """The data point of least weighted distance sum, the first on ties.
 
     One pass over the unordered pairs brackets every candidate's objective
-    without Vincenty: a pair at unit-sphere central angle sigma, from the
-    chord between _unit_vector outputs, is between MIN_RADIUS_KM * sigma
-    and MAX_RADIUS_KM * sigma apart (geodesy.near_ties proves it), give or
-    take _PAIR_SLACK_KM. So with sums[k] the sum of weights[j] *
-    sigma(k, j), candidate k's objective is at least MIN_RADIUS_KM *
-    sums[k] less the slack and at most MAX_RADIUS_KM * sums[k] plus it.
-    Candidates are scored exactly in ascending order of sums, that is of
-    their upper bounds, and one whose lower bound exceeds the best objective
-    so far cannot win, not even a tie. In that order the lower bound only
-    rises while the best objective only falls, so once one candidate is
-    pruned every later one is too: the scored candidates are a prefix of
-    the order, and the loop stops at the first pruned one. Every first
-    argmin is therefore scored, and (objective, index) picks it.
+    without Vincenty: with sums[k] the sum of weights[j] times the
+    central_angle of points k and j, candidate k's objective is within
+    geodesy.distance_bounds(sums[k], weight_sum). Candidates are scored
+    exactly in ascending order of sums, that is of their upper bounds, and
+    one whose lower bound exceeds the best objective so far cannot win, not
+    even a tie. In that order the lower bound only rises while the best
+    objective only falls, so once one candidate is pruned every later one is
+    too: the scored candidates are a prefix of the order, and the loop stops
+    at the first pruned one. Every first argmin is therefore scored, and
+    (objective, index) picks it.
 
     An exact objective is the fsum of the candidate's row of distances,
     whose diagonal is the exact 0.0 a point's distance to itself is. The
@@ -288,21 +278,21 @@ def _medoid(s: WeightedPointSet) -> GeoPoint:
         vk, wk = vectors[k], weights[k]
         acc = 0.0
         for j in range(k + 1, n):
-            sigma = 2.0 * math.asin(min(1.0, 0.5 * math.dist(vk, vectors[j])))
+            sigma = central_angle(vk, vectors[j])
             acc += weights[j] * sigma
             sums[j] += wk * sigma
         sums[k] += acc
     # A float sum of n non-negative products is off by under n + 1 half-ulps
     # of itself, an exact objective by 2, and the lower bound's own products
-    # and difference by 3: 4n epsilons cover them all.
-    lo_scale = MIN_RADIUS_KM * (1.0 - 4.0 * n * sys.float_info.epsilon)
-    slack = _PAIR_SLACK_KM * s.weight_sum
+    # and difference by 3: shrinking sums by 4n epsilons covers them all.
+    shrink = 1.0 - 4.0 * n * sys.float_info.epsilon
+    weight_sum = s.weight_sum
 
     rows: dict[int, array] = {}
     best_idx = -1
     best_obj = math.inf
     for k in sorted(range(n), key=sums.__getitem__):
-        if lo_scale * sums[k] - slack > best_obj:
+        if distance_bounds(shrink * sums[k], weight_sum)[0] > best_obj:
             break
         p = points[k]
         row = array("d", bytes(8 * n))

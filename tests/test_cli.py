@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -209,6 +210,23 @@ class TestSeed:
         assert code == 1
         assert "error: now must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_now_fails_without_claims(self, tmp_path, inputs, capsys):
+        _, _, gazetteer = inputs
+        claims = write(tmp_path / "comments.tsv", "# no claims\n")
+        code = main(
+            [
+                "seed",
+                "--profiles", str(claims),
+                "--gazetteer", str(gazetteer),
+                "--now", "nan",
+                "--stdout",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: now must be finite, got nan" in captured.err
 
     def test_requires_some_input(self, tmp_path, capsys):
         assert main(["seed", "--out", str(tmp_path / "s.tsv")]) == 1
@@ -427,6 +445,16 @@ class TestInfer:
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.tsv", "r.csv", "seeds.tsv"]
 
+    def test_manifest_records_an_input_that_out_replaces_as_it_was_read(
+        self, tmp_path, path_fixture
+    ):
+        network, seeds, _ = path_fixture
+        read = hashlib.sha256(network.read_bytes()).hexdigest()
+        assert main(["infer", str(network), str(seeds), "--out", str(network), "--threads", "1"]) == 0
+        assert read_estimates_file(network).located  # the estimates replaced the network
+        manifest = json.loads((tmp_path / "net.tsv.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"][str(network)] == read
+
     def test_manifest_records_only_the_solver_parameters(self, tmp_path, path_fixture):
         network, seeds, _ = path_fixture
         out = tmp_path / "est.tsv"
@@ -529,6 +557,17 @@ class TestEvalCommand:
         body = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()
         assert body[1].startswith("1.0,0.0,0.0")
         assert (out_dir / "per_iteration.csv").exists()
+
+    def test_manifest_records_an_input_that_a_report_replaces_as_it_was_read(
+        self, tmp_path, exact_fixture
+    ):
+        estimates, truth = exact_fixture
+        truth = truth.replace(tmp_path / "report.csv")
+        read = hashlib.sha256(truth.read_bytes()).hexdigest()
+        assert main(["eval", str(estimates), str(truth), "--out-dir", str(tmp_path)]) == 0
+        assert truth.read_text(encoding="utf-8").startswith("coverage")
+        manifest = json.loads((tmp_path / "eval.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"][str(truth)] == read
 
     def test_sweep_of_one_gamma_writes_one_row(self, tmp_path):
         p = GeoPoint(40.0, -3.0)

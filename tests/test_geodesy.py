@@ -13,12 +13,13 @@ from tvgeo.geodesy import (
     WGS84_F,
     GeoPoint,
     _unit_vector,
+    central_angle,
     destination,
+    distance_bounds,
     geodesic_distance,
     geodesic_distance_detail,
     near_ties,
 )
-from tvgeo.robust_stats import _PAIR_SLACK_KM
 
 from oracles import meridian_quadrant_km, oracle_distance_km
 
@@ -236,10 +237,11 @@ class TestNearTies:
 
 
 class TestRadiusBracket:
-    """A computed distance lies within [MIN_RADIUS_KM, MAX_RADIUS_KM] times
-    the pair's unit-sphere chord angle, give or take the medoid's slack."""
+    """A computed distance lies within distance_bounds of the pair's
+    central_angle, alone and in weighted sums."""
 
-    def test_vincenty_and_fallback_distances_lie_within_the_bracket(self):
+    @staticmethod
+    def pairs():
         rng = random.Random(9004)
         pairs = [(random_point(rng), random_point(rng)) for _ in range(1000)]
         for _ in range(500):  # within 1 degree of antipodal, and exactly antipodal
@@ -252,18 +254,35 @@ class TestRadiusBracket:
                for a in (GeoPoint(0.0, rng.uniform(-180.0, 180.0)) for _ in range(300))]
         high = [(a, destination(a, rng.uniform(0.0, 360.0), 10.0 ** rng.uniform(-6.0, 3.0)))
                 for a in (GeoPoint(rng.choice((90.0, -90.0)), rng.uniform(-180.0, 180.0)) for _ in range(300))]
+        return pairs + low + high
+
+    def test_vincenty_and_fallback_distances_lie_within_the_bracket(self):
         fallbacks = 0
         low_ratio, high_ratio = math.inf, 0.0
-        for a, b in pairs + low + high:
+        for a, b in self.pairs():
             distance = geodesic_distance_detail(a, b)
-            sigma = 2.0 * math.asin(min(1.0, 0.5 * math.dist(_unit_vector(a), _unit_vector(b))))
-            assert MIN_RADIUS_KM * sigma - _PAIR_SLACK_KM <= distance.km <= MAX_RADIUS_KM * sigma + _PAIR_SLACK_KM
+            sigma = central_angle(_unit_vector(a), _unit_vector(b))
+            lo, hi = distance_bounds(sigma)
+            assert lo <= distance.km <= hi
             fallbacks += distance.approximate
             if sigma > 0.0:
                 low_ratio = min(low_ratio, distance.km / (MIN_RADIUS_KM * sigma))
                 high_ratio = max(high_ratio, distance.km / (MAX_RADIUS_KM * sigma))
         assert fallbacks >= 500
         assert low_ratio < 1.0 + 1e-6 and high_ratio > 1.0 - 1e-6, (low_ratio, high_ratio)
+
+    def test_weighted_sums_lie_within_the_bracket(self):
+        # fsum keeps the sums' rounding far below the slack, so the chunks
+        # (tight equatorial and polar arcs among them) test the bracket itself.
+        rng = random.Random(9005)
+        pairs = self.pairs()
+        for start in range(0, len(pairs), 50):
+            chunk = pairs[start:start + 50]
+            weights = [rng.choice((0.5, 1.0, 3.0, rng.uniform(0.1, 10.0))) for _ in chunk]
+            sigmas = [central_angle(_unit_vector(a), _unit_vector(b)) for a, b in chunk]
+            total = math.fsum(w * geodesic_distance(a, b) for w, (a, b) in zip(weights, chunk))
+            lo, hi = distance_bounds(math.fsum(w * s for w, s in zip(weights, sigmas)), math.fsum(weights))
+            assert lo <= total <= hi
 
 
 def _kernel_pairs() -> list[tuple[GeoPoint, GeoPoint]]:

@@ -282,6 +282,8 @@ class TestGazetteerHome:
         claim = ProfileClaim(7, "Malibu, CA", observed_at=0.0)
         with pytest.raises(ValueError, match=r"^now must be finite, got "):
             gazetteer_home([claim], gazetteer, now)
+        with pytest.raises(ValueError, match=r"^now must be finite, got "):
+            gazetteer_homes([], gazetteer, now)  # checked even with no claim
 
     def test_unmatched_multi_location_claim_rejected(self, gazetteer):
         claim = ProfileClaim(7, "Paris | London", observed_at=1000.0)

@@ -1,12 +1,16 @@
-"""The package's public surface: `import tvgeo`, its `__all__`, and the
-import block that the README's "Library surface" section shows."""
+"""The package's public surface: `import tvgeo`, its `__all__`, the import
+block that the README's "Library surface" section shows, and which module
+owns the WGS84 distance bracket."""
 
+import ast
 import re
 from pathlib import Path
 
 import tvgeo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(tvgeo.__file__).resolve().parent
+BRACKET_CONSTANTS = {"MIN_RADIUS_KM", "MAX_RADIUS_KM", "_PAIR_SLACK_KM"}
 
 
 def test_every_public_name_resolves_once():
@@ -22,3 +26,22 @@ def test_readme_import_block_runs():
     exec(block, namespace)
     imported = set(namespace) - {"__builtins__"}
     assert imported and imported <= set(tvgeo.__all__)
+
+
+def test_only_geodesy_reads_the_bracket_constants():
+    """Other modules bound distances through geodesy.distance_bounds."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "geodesy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            readers += [(path.name, name) for name in sorted(names & BRACKET_CONSTANTS)]
+    assert readers == []
