@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import starmap
+from typing import Iterable, Iterator, NamedTuple
 
 # WGS84 ellipsoid, kilometers.
 WGS84_A_KM = 6378.137
@@ -21,6 +22,8 @@ MEAN_RADIUS_KM = (2.0 * WGS84_A_KM + WGS84_B_KM) / 3.0
 
 VINCENTY_MAX_ITERATIONS = 200
 VINCENTY_TOLERANCE_RAD = 1e-12
+
+_Vector = tuple[float, float, float]  # a point on the unit sphere, from _unit_vector
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +166,7 @@ def _haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * MEAN_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
+def _unit_vector(p: GeoPoint) -> _Vector:
     """p as a point (x, y, z) on the unit sphere."""
     lat = math.radians(p.lat)
     lon = math.radians(p.lon)
@@ -180,15 +183,16 @@ MAX_RADIUS_KM = WGS84_A_KM / math.sqrt(1.0 - _WGS84_E_SQ)
 _PAIR_SLACK_KM = 0.01
 
 
-def central_angle(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
-    """Unit-sphere central angle, in radians, of two _unit_vector outputs."""
-    return 2.0 * math.asin(min(1.0, 0.5 * math.dist(u, v)))
+def central_angles(pairs: Iterable[tuple[_Vector, _Vector]]) -> Iterator[float]:
+    """Unit-sphere central angles, in radians, of pairs of _unit_vector
+    outputs, lazily: 2 asin(c / 2) for the chord c, pi past a diameter."""
+    return (2.0 * math.asin(0.5 * c) if c < 2.0 else math.pi for c in starmap(math.dist, pairs))
 
 
 def distance_bounds(sigma: float, weight: float = 1.0) -> tuple[float, float]:
     """(MIN_RADIUS_KM * sigma - slack, MAX_RADIUS_KM * sigma + slack), with
     slack = _PAIR_SLACK_KM (10 m) * weight: bounds on the computed
-    geodesic_distance of a pair whose central_angle is sigma. Term by term,
+    geodesic_distance of a pair at central angle sigma. Term by term,
     sum(w_j * d_j) lies within distance_bounds(sum(w_j * sigma_j), sum(w_j))
     for w_j >= 0, up to the float sums' rounding, which the caller covers.
 
@@ -202,10 +206,9 @@ def distance_bounds(sigma: float, weight: float = 1.0) -> tuple[float, float]:
       (1 - e^2)^(-3/2) = 1.0101.
     - The slack covers the computation: Vincenty's error is sub-millimetre,
       and the chord's ~2e-15 rounding, which asin magnifies next to an
-      antipode, moves sigma by at most 2 sqrt(2e-15) rad, 0.6 m.
-    - The spherical fallback's mean radius is over 0.4% inside the bracket,
-      and it only serves pairs within a degree of antipodal, 80 km and more
-      from either bound.
+      antipode, moves sigma by at most 2 sqrt(2e-15) rad, 0.6 m. The
+      spherical fallback's mean radius, which serves only pairs within a
+      degree of antipodal, is over 0.4% (80 km) inside either bound.
     """
     slack = _PAIR_SLACK_KM * weight
     return MIN_RADIUS_KM * sigma - slack, MAX_RADIUS_KM * sigma + slack
@@ -219,9 +222,7 @@ _NEAR_TIE_RATIO_SQ = NEAR_TIE_RATIO * NEAR_TIE_RATIO
 _NEAR_TIE_SLACK = (1e-3 / WGS84_A_KM) ** 2
 
 
-def near_ties(
-    origin: tuple[float, float, float], vectors: list[tuple[float, float, float]]
-) -> list[int]:
+def near_ties(origin: _Vector, vectors: list[_Vector]) -> list[int]:
     """Indices, in input order, of the unit vectors (at least one, from
     _unit_vector) whose point may be geodesically nearest to origin's.
 

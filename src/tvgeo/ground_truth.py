@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import _tsv, _workers
-from .geodesy import GeoPoint, _unit_vector, central_angle, distance_bounds, geodesic_distance
+from .geodesy import GeoPoint, _unit_vector, central_angles, distance_bounds, geodesic_distance
 from .robust_stats import WeightedPointSet, dispersion, geodesic_l1_median
 
 MIN_GPS_EVENTS = 3
@@ -122,7 +122,7 @@ def max_speed(events: Sequence[GpsEvent]) -> float:
     vectors = [_unit_vector(e.point) for e in events]
     legs = []  # (upper bound, leg index, hours) of the legs with positive hours
     floor = 0.0  # the largest lower bound
-    for k in range(1, len(events)):
+    for k, sigma in enumerate(central_angles(zip(vectors, vectors[1:])), 1):
         prev, cur = events[k - 1], events[k]
         dt = cur.timestamp - prev.timestamp
         if dt < 0:
@@ -132,7 +132,7 @@ def max_speed(events: Sequence[GpsEvent]) -> float:
             if geodesic_distance(prev.point, cur.point) > 0.0:
                 return math.inf
             continue
-        lo, hi = distance_bounds(central_angle(vectors[k - 1], vectors[k]))
+        lo, hi = distance_bounds(sigma)
         floor = max(floor, lo / hours)
         legs.append((hi / hours, k, hours))
     fastest = 0.0

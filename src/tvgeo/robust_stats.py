@@ -26,13 +26,14 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import combinations, repeat
 from typing import Iterable
 
 from .geodesy import (
     MEAN_RADIUS_KM,
     GeoPoint,
     _unit_vector,
-    central_angle,
+    central_angles,
     distance_bounds,
     geodesic_distance,
 )
@@ -215,14 +216,14 @@ def dispersion(center: GeoPoint, s: WeightedPointSet) -> float:
     """
     points = s.points
     n = len(points)
-    origin = _unit_vector(center)
-    bounds = [distance_bounds(central_angle(origin, _unit_vector(p))) for p in points]
+    sigmas = central_angles(zip(repeat(_unit_vector(center)), map(_unit_vector, points)))
+    lows, highs = zip(*map(distance_bounds, sigmas))
     lower, upper = (n - 1) // 2, n // 2  # the middle ranks, equal for odd n
-    floor = sorted(lo for lo, _ in bounds)[lower]
-    ceiling = sorted(hi for _, hi in bounds)[upper]
+    floor = sorted(lows)[lower]
+    ceiling = sorted(highs)[upper]
     below = 0
     measured = []
-    for p, (lo, hi) in zip(points, bounds):
+    for p, lo, hi in zip(points, lows, highs):
         if hi < floor:
             below += 1
         elif lo <= ceiling:
@@ -251,9 +252,9 @@ def _medoid(s: WeightedPointSet) -> GeoPoint:
     """The data point of least weighted distance sum, the first on ties.
 
     One pass over the unordered pairs brackets every candidate's objective
-    without Vincenty: with sums[k] the sum of weights[j] times the
-    central_angle of points k and j, candidate k's objective is within
-    geodesy.distance_bounds(sums[k], weight_sum). Candidates are scored
+    without Vincenty: with sums[k] the sum of weights[j] times the central
+    angle of points k and j, candidate k's objective is within
+    geodesy.distance_bounds(sums[k], s.weight_sum). Candidates are scored
     exactly in ascending order of sums, that is of their upper bounds, and
     one whose lower bound exceeds the best objective so far cannot win, not
     even a tie. In that order the lower bound only rises while the best
@@ -272,13 +273,13 @@ def _medoid(s: WeightedPointSet) -> GeoPoint:
     points = s.points
     weights = s.weights
     n = len(points)
-    vectors = [_unit_vector(p) for p in points]
     sums = [0.0] * n
+    sigmas = central_angles(combinations(map(_unit_vector, points), 2))
     for k in range(n - 1):
-        vk, wk = vectors[k], weights[k]
+        wk = weights[k]
         acc = 0.0
-        for j in range(k + 1, n):
-            sigma = central_angle(vk, vectors[j])
+        # Row k's pairs come next, and zip stops on the range before drawing more.
+        for j, sigma in zip(range(k + 1, n), sigmas):
             acc += weights[j] * sigma
             sums[j] += wk * sigma
         sums[k] += acc
@@ -286,13 +287,12 @@ def _medoid(s: WeightedPointSet) -> GeoPoint:
     # of itself, an exact objective by 2, and the lower bound's own products
     # and difference by 3: shrinking sums by 4n epsilons covers them all.
     shrink = 1.0 - 4.0 * n * sys.float_info.epsilon
-    weight_sum = s.weight_sum
 
     rows: dict[int, array] = {}
     best_idx = -1
     best_obj = math.inf
     for k in sorted(range(n), key=sums.__getitem__):
-        if distance_bounds(shrink * sums[k], weight_sum)[0] > best_obj:
+        if distance_bounds(shrink * sums[k], s.weight_sum)[0] > best_obj:
             break
         p = points[k]
         row = array("d", bytes(8 * n))

@@ -13,7 +13,7 @@ from tvgeo.geodesy import (
     WGS84_F,
     GeoPoint,
     _unit_vector,
-    central_angle,
+    central_angles,
     destination,
     distance_bounds,
     geodesic_distance,
@@ -238,7 +238,7 @@ class TestNearTies:
 
 class TestRadiusBracket:
     """A computed distance lies within distance_bounds of the pair's
-    central_angle, alone and in weighted sums."""
+    central_angles entry, alone and in weighted sums."""
 
     @staticmethod
     def pairs():
@@ -259,9 +259,10 @@ class TestRadiusBracket:
     def test_vincenty_and_fallback_distances_lie_within_the_bracket(self):
         fallbacks = 0
         low_ratio, high_ratio = math.inf, 0.0
-        for a, b in self.pairs():
+        pairs = self.pairs()
+        sigmas = central_angles((_unit_vector(a), _unit_vector(b)) for a, b in pairs)
+        for (a, b), sigma in zip(pairs, sigmas):
             distance = geodesic_distance_detail(a, b)
-            sigma = central_angle(_unit_vector(a), _unit_vector(b))
             lo, hi = distance_bounds(sigma)
             assert lo <= distance.km <= hi
             fallbacks += distance.approximate
@@ -271,6 +272,14 @@ class TestRadiusBracket:
         assert fallbacks >= 500
         assert low_ratio < 1.0 + 1e-6 and high_ratio > 1.0 - 1e-6, (low_ratio, high_ratio)
 
+    def test_central_angles_are_the_chord_angles(self):
+        # Past the diameter, where rounding takes an antipodal chord, the
+        # angle is pi, the value 2 asin(min(1, c / 2)) gives there.
+        vectors = [(_unit_vector(a), _unit_vector(b)) for a, b in self.pairs()]
+        chords = [math.dist(u, v) for u, v in vectors]
+        assert list(central_angles(vectors)) == [2.0 * math.asin(min(1.0, 0.5 * c)) for c in chords]
+        assert any(c > 2.0 for c in chords) and any(c == 2.0 for c in chords)
+
     def test_weighted_sums_lie_within_the_bracket(self):
         # fsum keeps the sums' rounding far below the slack, so the chunks
         # (tight equatorial and polar arcs among them) test the bracket itself.
@@ -279,7 +288,7 @@ class TestRadiusBracket:
         for start in range(0, len(pairs), 50):
             chunk = pairs[start:start + 50]
             weights = [rng.choice((0.5, 1.0, 3.0, rng.uniform(0.1, 10.0))) for _ in chunk]
-            sigmas = [central_angle(_unit_vector(a), _unit_vector(b)) for a, b in chunk]
+            sigmas = central_angles((_unit_vector(a), _unit_vector(b)) for a, b in chunk)
             total = math.fsum(w * geodesic_distance(a, b) for w, (a, b) in zip(weights, chunk))
             lo, hi = distance_bounds(math.fsum(w * s for w, s in zip(weights, sigmas)), math.fsum(weights))
             assert lo <= total <= hi
