@@ -13,7 +13,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 from . import _tsv
 from .geodesy import GeoPoint, _unit_vector, geodesic_distance, near_ties
 from .graph import SocialNetwork
-from .ground_truth import _seed_row
+from .ground_truth import _SEED_TYPES, _seed_record, _seed_row
 from .solver import EstimateState, LocationEstimate, SolverConfig, infer
 
 @dataclass(frozen=True)
@@ -59,6 +59,17 @@ def _add_city_name(name: str, names: set[str]) -> None:
     names.add(name)
 
 
+def _city(name: str, lat: float, lon: float, population: int) -> tuple[str, GeoPoint, int]:
+    return name, GeoPoint(lat, lon), population
+
+
+def _city_row(fields: list[str]) -> tuple[str, GeoPoint, int]:
+    _tsv.require_fields(fields, 4)
+    point = _tsv.parse_point(fields[1], fields[2])
+    pop = _tsv.parse_int(fields[3], "population")
+    return fields[0], point, pop
+
+
 @dataclass(frozen=True)
 class CityTable:
     entries: tuple[CityEntry, ...]
@@ -74,13 +85,10 @@ class CityTable:
     def from_tsv(cls, path: str | Path) -> "CityTable":
         entries = []
         names: set[str] = set()
-        with _tsv.Rows(path) as rows:
-            for fields in rows:
-                _tsv.require_fields(fields, 4)
-                point = _tsv.parse_point(fields[1], fields[2])
-                pop = _tsv.parse_int(fields[3], "population")
-                _add_city_name(fields[0], names)
-                entries.append(CityEntry(fields[0], point, pop))
+        with _tsv.Columns(path, (str, float, float, int), _city, _city_row) as rows:
+            for name, point, pop in rows:
+                _add_city_name(name, names)
+                entries.append(CityEntry(name, point, pop))
         return cls(tuple(entries))
 
     def write_tsv(self, fh: TextIO) -> None:
@@ -227,22 +235,28 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
     """Read user->location truth from a 3-column truth TSV, or the homes of a
     5-column seeds TSV parsed as read_seeds_file parses them. The first data
     row sets the width; a row of another width fails at its line."""
+    first = next(_tsv.iter_rows(path), None)
+    width = 3 if first is None else len(first[1])
+    if width == 5:
+        layout = (_SEED_TYPES, _seed_record, _seed_row)
+    elif width == 3:
+        layout = ((int, float, float), _truth_record, _truth_row)
+    else:
+        raise ValueError(f"{path}:{first[0]}: expected 3 (truth) or 5 (seeds) fields, got {width}")
     truth: dict[int, GeoPoint] = {}
-    width = None
-    with _tsv.Rows(path) as rows:
-        for fields in rows:
-            if width is None:
-                width = len(fields)
-            if width == 5:
-                record = _seed_row(fields)
-                user, point = record.user, record.home
-            elif width == 3:
-                _tsv.require_fields(fields, 3)
-                user = _tsv.parse_int(fields[0], "user_id")
-                point = _tsv.parse_point(fields[1], fields[2])
-            else:
-                raise ValueError(f"expected 3 (truth) or 5 (seeds) fields, got {width}")
+    with _tsv.Columns(path, *layout) as rows:
+        pairs = rows if width == 3 else ((r.user, r.home) for r in rows)
+        for user, point in pairs:
             if user in truth:
                 raise ValueError(f"duplicate truth for user {user}")
             truth[user] = point
     return truth
+
+
+def _truth_record(user: int, lat: float, lon: float) -> tuple[int, GeoPoint]:
+    return user, GeoPoint(lat, lon)
+
+
+def _truth_row(fields: list[str]) -> tuple[int, GeoPoint]:
+    _tsv.require_fields(fields, 3)
+    return _tsv.parse_int(fields[0], "user_id"), _tsv.parse_point(fields[1], fields[2])

@@ -26,7 +26,7 @@ VINCENTY_TOLERANCE_RAD = 1e-12
 _Vector = tuple[float, float, float]  # a point on the unit sphere, from _unit_vector
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GeoPoint:
     """A latitude/longitude pair in degrees.
 
@@ -38,16 +38,20 @@ class GeoPoint:
     lat: float
     lon: float
 
-    def __post_init__(self) -> None:
-        lat = float(self.lat)
-        lon = float(self.lon)
-        if not math.isfinite(lat) or not -90.0 <= lat <= 90.0:
-            raise ValueError(f"latitude {self.lat!r} outside [-90, 90]")
-        if not math.isfinite(lon):
-            raise ValueError(f"longitude {self.lon!r} is not finite")
-        lon = ((lon + 180.0) % 360.0) - 180.0
-        object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", lon)
+    def __init__(self, lat: float, lon: float) -> None:
+        # Each field is set once, through its slot (the class is frozen).
+        latitude = float(lat)
+        longitude = float(lon)
+        if not -90.0 <= latitude <= 90.0:  # false for NaN too
+            raise ValueError(f"latitude {lat!r} outside [-90, 90]")
+        if not math.isfinite(longitude):
+            raise ValueError(f"longitude {lon!r} is not finite")
+        _set_lat(self, latitude)
+        _set_lon(self, ((longitude + 180.0) % 360.0) - 180.0)
+
+
+_set_lat = GeoPoint.__dict__["lat"].__set__
+_set_lon = GeoPoint.__dict__["lon"].__set__
 
 
 class Distance(NamedTuple):

@@ -274,13 +274,16 @@ NETWORK_COLUMNS = ("u", "v", "weight")
 
 def iter_mention_file(path: str | Path) -> Iterator[tuple[int, int, int]]:
     """Parse a mention TSV; parse failures raise ValueError with path:line."""
-    with _tsv.Rows(path) as rows:
-        for fields in rows:
-            _tsv.require_fields(fields, 3)
-            src = _tsv.parse_int(fields[0], "src_id")
-            dst = _tsv.parse_int(fields[1], "dst_id")
-            count = _tsv.parse_int(fields[2], "count")
-            yield src, dst, count
+    with _tsv.Columns(path, (int, int, int), None, _mention_row) as rows:
+        yield from rows
+
+
+def _mention_row(fields: list[str]) -> tuple[int, int, int]:
+    _tsv.require_fields(fields, 3)
+    src = _tsv.parse_int(fields[0], "src_id")
+    dst = _tsv.parse_int(fields[1], "dst_id")
+    count = _tsv.parse_int(fields[2], "count")
+    return src, dst, count
 
 
 def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
@@ -290,8 +293,8 @@ def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
 
 
 def read_network_file(path: str | Path) -> SocialNetwork:
-    with _tsv.Rows(path) as rows:
-        return SocialNetwork.from_edges(map(_network_edge, rows))
+    with _tsv.Columns(path, (int, int, int), None, _network_edge) as rows:
+        return SocialNetwork.from_edges(rows)
 
 
 def _network_edge(fields: list[str]) -> tuple[int, int, int]:

@@ -37,15 +37,24 @@ SOURCE_GPS = "gps"
 SOURCE_GAZETTEER = "gazetteer"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GpsEvent:
     user: int
     point: GeoPoint
     timestamp: float  # seconds since epoch, UTC
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp):
-            raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
+    def __init__(self, user: int, point: GeoPoint, timestamp: float) -> None:
+        # Each field is set once, through its slot (the class is frozen).
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp must be finite, got {timestamp!r}")
+        _set_user(self, user)
+        _set_point(self, point)
+        _set_timestamp(self, timestamp)
+
+
+_set_user = GpsEvent.__dict__["user"].__set__
+_set_point = GpsEvent.__dict__["point"].__set__
+_set_timestamp = GpsEvent.__dict__["timestamp"].__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +100,9 @@ class Gazetteer:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Gazetteer":
         gazetteer = cls({})
-        with _tsv.Rows(path) as rows:
-            for fields in rows:
-                _tsv.require_fields(fields, 3)
-                gazetteer._add(fields[0], _tsv.parse_point(fields[1], fields[2]))
+        with _tsv.Columns(path, (str, float, float), _named_point, _gazetteer_row) as rows:
+            for name, point in rows:
+                gazetteer._add(name, point)
         return gazetteer
 
     def _add(self, name: str, point: GeoPoint) -> None:
@@ -107,6 +115,15 @@ class Gazetteer:
 
     def lookup(self, text: str) -> GeoPoint | None:
         return self._entries.get(normalize_place(text))
+
+
+def _named_point(name: str, lat: float, lon: float) -> tuple[str, GeoPoint]:
+    return name, GeoPoint(lat, lon)
+
+
+def _gazetteer_row(fields: list[str]) -> tuple[str, GeoPoint]:
+    _tsv.require_fields(fields, 3)
+    return fields[0], _tsv.parse_point(fields[1], fields[2])
 
 
 def max_speed(events: Sequence[GpsEvent]) -> float:
@@ -252,17 +269,21 @@ SEED_COLUMNS = ("user_id", "lat", "lon", "source", "spread_km")
 def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
     """The events in file order. A user's events share one int object for
     the user id."""
-    events = []
     users: dict[int, int] = {}
-    with _tsv.Rows(path) as rows:
-        for fields in rows:
-            _tsv.require_fields(fields, 4)
-            user = _tsv.parse_int(fields[0], "user_id")
-            user = users.setdefault(user, user)
-            point = _tsv.parse_point(fields[1], fields[2])
-            ts = _tsv.parse_float(fields[3], "timestamp")
-            events.append(GpsEvent(user, point, ts))
-    return events
+    intern = users.setdefault
+
+    def event(user: int, lat: float, lon: float, ts: float) -> GpsEvent:
+        return GpsEvent(intern(user, user), GeoPoint(lat, lon), ts)
+
+    def event_row(fields: list[str]) -> GpsEvent:
+        _tsv.require_fields(fields, 4)
+        user = _tsv.parse_int(fields[0], "user_id")
+        point = _tsv.parse_point(fields[1], fields[2])
+        ts = _tsv.parse_float(fields[3], "timestamp")
+        return GpsEvent(intern(user, user), point, ts)
+
+    with _tsv.Columns(path, (int, float, float, float), event, event_row) as rows:
+        return list(rows)
 
 
 def read_profile_claims_file(path: str | Path) -> list[ProfileClaim]:
@@ -293,11 +314,20 @@ def _seed_row(fields: list[str]) -> GroundTruthRecord:
     return GroundTruthRecord(user, point, fields[3], spread)
 
 
+def _seed_record(
+    user: int, lat: float, lon: float, source: str, spread: float
+) -> GroundTruthRecord:
+    """_seed_row's record from the converted columns (_tsv.Columns)."""
+    return GroundTruthRecord(user, GeoPoint(lat, lon), source, spread)
+
+
+_SEED_TYPES = (int, float, float, str, float)
+
+
 def read_seeds_file(path: str | Path) -> dict[int, GroundTruthRecord]:
     seeds: dict[int, GroundTruthRecord] = {}
-    with _tsv.Rows(path) as rows:
-        for fields in rows:
-            record = _seed_row(fields)
+    with _tsv.Columns(path, _SEED_TYPES, _seed_record, _seed_row) as rows:
+        for record in rows:
             if record.user in seeds:
                 raise ValueError(f"duplicate seed for user {record.user}")
             seeds[record.user] = record

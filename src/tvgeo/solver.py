@@ -62,7 +62,7 @@ class SolverConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationEstimate:
     user: int
     point: GeoPoint
@@ -284,22 +284,42 @@ def write_estimates_file(state: EstimateState, fh: TextIO) -> None:
 def read_estimates_file(path: str | Path) -> EstimateState:
     located: dict[int, LocationEstimate] = {}
     max_iteration = 0
-    with _tsv.Rows(path) as rows:
-        for fields in rows:
-            _tsv.require_fields(fields, 6)
-            user = _tsv.parse_int(fields[0], "user_id")
-            point = _tsv.parse_point(fields[1], fields[2])
-            disp = _tsv.parse_float(fields[3], "dispersion_km")
-            source = fields[4]
-            if source not in (SOURCE_SEED, SOURCE_INFERRED):
-                raise ValueError(f"unknown source {source!r}")
-            first = _tsv.parse_int(fields[5], "first_located_iteration")
-            if source == SOURCE_SEED and first != 0:
-                raise ValueError(f"seed row with first_located_iteration {first}, expected 0")
-            if source == SOURCE_INFERRED and first < 1:
-                raise ValueError(f"inferred row with first_located_iteration {first}, expected >= 1")
-            if user in located:
-                raise ValueError(f"duplicate estimate for user {user}")
-            located[user] = LocationEstimate(user, point, disp, source, first)
-            max_iteration = max(max_iteration, first)
+    types = (int, float, float, float, str, int)
+    with _tsv.Columns(path, types, _estimate, _estimate_row) as rows:
+        for estimate in rows:
+            if estimate.user in located:
+                raise ValueError(f"duplicate estimate for user {estimate.user}")
+            located[estimate.user] = estimate
+            max_iteration = max(max_iteration, estimate.first_located_iteration)
     return EstimateState(located, max_iteration)
+
+
+def _estimate_row(fields: list[str]) -> LocationEstimate:
+    _tsv.require_fields(fields, 6)
+    user = _tsv.parse_int(fields[0], "user_id")
+    point = _tsv.parse_point(fields[1], fields[2])
+    disp = _tsv.parse_float(fields[3], "dispersion_km")
+    if disp < 0.0 or disp == math.inf:  # NaN is valid: no located neighbor
+        raise ValueError(f"dispersion_km must be NaN or finite and >= 0, got {disp!r}")
+    source = fields[4]
+    if source not in (SOURCE_SEED, SOURCE_INFERRED):
+        raise ValueError(f"unknown source {source!r}")
+    first = _tsv.parse_int(fields[5], "first_located_iteration")
+    if source == SOURCE_SEED and first != 0:
+        raise ValueError(f"seed row with first_located_iteration {first}, expected 0")
+    if source == SOURCE_INFERRED and first < 1:
+        raise ValueError(f"inferred row with first_located_iteration {first}, expected >= 1")
+    return LocationEstimate(user, point, disp, source, first)
+
+
+def _estimate(
+    user: int, lat: float, lon: float, disp: float, source: str, first: int
+) -> LocationEstimate:
+    """_estimate_row's record from the converted columns (_tsv.Columns). It
+    raises a bare ValueError for any row _estimate_row rejects, which then
+    names the fault."""
+    if disp < 0.0 or disp == math.inf:
+        raise ValueError
+    if not (first == 0 if source == SOURCE_SEED else source == SOURCE_INFERRED and first >= 1):
+        raise ValueError
+    return LocationEstimate(user, GeoPoint(lat, lon), disp, source, first)

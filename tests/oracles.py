@@ -10,7 +10,10 @@ against closed forms in the test suite and share nothing with the library's
 algorithms beyond the ellipsoid constants. max_speed_every_leg is the plain
 every-leg loop that ground_truth.max_speed prunes. adjacency_oracle is the
 network layout that SocialNetwork's compressed rows replaced: a dict of
-sorted (neighbor, weight) tuples per node.
+sorted (neighbor, weight) tuples per node. The row_* readers are the
+package's file readers as they were before _tsv.Columns: one _tsv.Rows loop
+each, parsing every row with the parse_* helpers. They are the reference
+that the chunked readers must match in values and in error text.
 """
 
 from __future__ import annotations
@@ -206,3 +209,162 @@ def adjacency_oracle(edges) -> dict:
         adjacency.setdefault(u, {})[v] = w
         adjacency.setdefault(v, {})[u] = w
     return {node: tuple(sorted(adjacency[node].items())) for node in sorted(adjacency)}
+
+
+# --- row-loop readers ---------------------------------------------------------
+#
+# Copies of the readers before they moved onto _tsv.Columns. read_estimates
+# also has the dispersion check that came with the move.
+
+
+def row_iter_mention_file(path):
+    from tvgeo import _tsv
+
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 3)
+            src = _tsv.parse_int(fields[0], "src_id")
+            dst = _tsv.parse_int(fields[1], "dst_id")
+            count = _tsv.parse_int(fields[2], "count")
+            yield src, dst, count
+
+
+def row_read_network_file(path):
+    from tvgeo import _tsv
+    from tvgeo.graph import SocialNetwork
+
+    def edge(fields):
+        _tsv.require_fields(fields, 3)
+        u = _tsv.parse_int(fields[0], "node id")
+        v = _tsv.parse_int(fields[1], "node id")
+        w = _tsv.parse_int(fields[2], "weight")
+        return u, v, w
+
+    with _tsv.Rows(path) as rows:
+        return SocialNetwork.from_edges(map(edge, rows))
+
+
+def row_read_gps_events_file(path):
+    from tvgeo import _tsv
+    from tvgeo.ground_truth import GpsEvent
+
+    events = []
+    users = {}
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 4)
+            user = _tsv.parse_int(fields[0], "user_id")
+            user = users.setdefault(user, user)
+            point = _tsv.parse_point(fields[1], fields[2])
+            ts = _tsv.parse_float(fields[3], "timestamp")
+            events.append(GpsEvent(user, point, ts))
+    return events
+
+
+def _row_seed(fields):
+    from tvgeo import _tsv
+    from tvgeo.ground_truth import GroundTruthRecord
+
+    _tsv.require_fields(fields, 5)
+    user = _tsv.parse_int(fields[0], "user_id")
+    point = _tsv.parse_point(fields[1], fields[2])
+    spread = _tsv.parse_float(fields[4], "spread_km")
+    return GroundTruthRecord(user, point, fields[3], spread)
+
+
+def row_read_seeds_file(path):
+    from tvgeo import _tsv
+
+    seeds = {}
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            record = _row_seed(fields)
+            if record.user in seeds:
+                raise ValueError(f"duplicate seed for user {record.user}")
+            seeds[record.user] = record
+    return seeds
+
+
+def row_read_truth_file(path):
+    from tvgeo import _tsv
+
+    truth = {}
+    width = None
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            if width is None:
+                width = len(fields)
+            if width == 5:
+                record = _row_seed(fields)
+                user, point = record.user, record.home
+            elif width == 3:
+                _tsv.require_fields(fields, 3)
+                user = _tsv.parse_int(fields[0], "user_id")
+                point = _tsv.parse_point(fields[1], fields[2])
+            else:
+                raise ValueError(f"expected 3 (truth) or 5 (seeds) fields, got {width}")
+            if user in truth:
+                raise ValueError(f"duplicate truth for user {user}")
+            truth[user] = point
+    return truth
+
+
+def row_city_table(path):
+    from tvgeo import _tsv
+    from tvgeo.evaluation import CityEntry, CityTable
+
+    entries = []
+    names = set()
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 4)
+            point = _tsv.parse_point(fields[1], fields[2])
+            pop = _tsv.parse_int(fields[3], "population")
+            if fields[0] in names:
+                raise ValueError(f"duplicate city name {fields[0]!r}")
+            names.add(fields[0])
+            entries.append(CityEntry(fields[0], point, pop))
+    return CityTable(tuple(entries))
+
+
+def row_gazetteer(path):
+    from tvgeo import _tsv
+    from tvgeo.ground_truth import Gazetteer
+
+    gazetteer = Gazetteer({})
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 3)
+            gazetteer._add(fields[0], _tsv.parse_point(fields[1], fields[2]))
+    return gazetteer
+
+
+def row_read_estimates_file(path):
+    from tvgeo import _tsv
+    from tvgeo.solver import EstimateState, LocationEstimate
+
+    located = {}
+    max_iteration = 0
+    with _tsv.Rows(path) as rows:
+        for fields in rows:
+            _tsv.require_fields(fields, 6)
+            user = _tsv.parse_int(fields[0], "user_id")
+            point = _tsv.parse_point(fields[1], fields[2])
+            disp = _tsv.parse_float(fields[3], "dispersion_km")
+            if disp < 0.0 or disp == math.inf:
+                raise ValueError(f"dispersion_km must be NaN or finite and >= 0, got {disp!r}")
+            source = fields[4]
+            if source not in ("seed", "inferred"):
+                raise ValueError(f"unknown source {source!r}")
+            first = _tsv.parse_int(fields[5], "first_located_iteration")
+            if source == "seed" and first != 0:
+                raise ValueError(f"seed row with first_located_iteration {first}, expected 0")
+            if source == "inferred" and first < 1:
+                raise ValueError(
+                    f"inferred row with first_located_iteration {first}, expected >= 1"
+                )
+            if user in located:
+                raise ValueError(f"duplicate estimate for user {user}")
+            located[user] = LocationEstimate(user, point, disp, source, first)
+            max_iteration = max(max_iteration, first)
+    return EstimateState(located, max_iteration)

@@ -645,6 +645,17 @@ class TestEvalCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    def test_negative_dispersion_fails_with_its_line(self, tmp_path, exact_fixture, capsys):
+        _, truth = exact_fixture
+        estimates = write(tmp_path / "est.tsv", "1\t40.0\t-3.0\t-5\tinferred\t1\n")
+        out_dir = tmp_path / "report"
+        code = main(["eval", str(estimates), str(truth), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {estimates}:1: dispersion_km must be NaN or finite and >= 0, got -5.0\n"
+        )
+        assert not out_dir.exists()
+
     def test_city_accuracy_in_report(self, tmp_path, exact_fixture):
         estimates, truth = exact_fixture
         cities = write(tmp_path / "cities.tsv", "Madrid\t40.42\t-3.7\t3200000\n")

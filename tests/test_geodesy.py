@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -60,6 +63,28 @@ class TestGeoPoint:
     def test_non_finite_longitude_is_an_error(self):
         with pytest.raises(ValueError):
             GeoPoint(0.0, math.inf)
+
+    def test_messages_name_the_value_as_given(self):
+        with pytest.raises(ValueError, match=r"^latitude 91 outside \[-90, 90\]$"):
+            GeoPoint(91, 0.0)
+        with pytest.raises(ValueError, match=r"^latitude nan outside \[-90, 90\]$"):
+            GeoPoint(math.nan, 0.0)
+        with pytest.raises(ValueError, match=r"^longitude -inf is not finite$"):
+            GeoPoint(0.0, -math.inf)
+
+    def test_value_semantics(self):
+        p = GeoPoint(45, 190)
+        assert (p.lat, p.lon) == (45.0, -170.0)
+        assert type(p.lat) is float and type(p.lon) is float
+        assert repr(p) == "GeoPoint(lat=45.0, lon=-170.0)"
+        assert p == GeoPoint(lat=45.0, lon=-170.0)
+        assert hash(p) == hash(GeoPoint(45.0, -170.0))
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert copy.copy(p) == p
+        assert dataclasses.replace(p, lon=10.0) == GeoPoint(45.0, 10.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.lat = 0.0
+        assert not hasattr(p, "__dict__")
 
 
 class TestGeodesicDistance:

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+import pickle
 import random
 import statistics
 import tracemalloc
@@ -419,6 +421,20 @@ class TestFiles:
         events = read_gps_events_file(path)
         assert len(events) == 2
         assert events[0].point == GeoPoint(37.77, -122.42)
+
+    def test_gps_events_are_values(self):
+        event = GpsEvent(1, GeoPoint(37.77, -122.42), 1000)
+        assert repr(event) == (
+            "GpsEvent(user=1, point=GeoPoint(lat=37.77, lon=-122.42), timestamp=1000)"
+        )
+        assert event == GpsEvent(user=1, point=GeoPoint(37.77, -122.42), timestamp=1000)
+        assert hash(event) == hash(GpsEvent(1, GeoPoint(37.77, -122.42), 1000))
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert dataclasses.replace(event, timestamp=5.0).timestamp == 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.user = 2
+        with pytest.raises(ValueError, match=r"^timestamp must be finite, got nan$"):
+            GpsEvent(1, GeoPoint(0.0, 0.0), math.nan)
 
     def test_profile_claims_keep_spaces_in_text(self, tmp_path):
         path = tmp_path / "claims.tsv"

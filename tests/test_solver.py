@@ -1,7 +1,9 @@
+import dataclasses
 import io
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -454,6 +456,14 @@ class TestEstimateFiles:
         path.write_text(estimates_text(state), encoding="utf-8")
         loaded = read_estimates_file(path)
         assert math.isnan(loaded.located[5].dispersion_km)
+
+    def test_estimates_are_slotted_values(self):
+        estimate = LocationEstimate(1, P, 0.5, "seed", 0)
+        assert not hasattr(estimate, "__dict__")
+        assert dataclasses.replace(estimate, dispersion_km=2.0) == LocationEstimate(
+            1, P, 2.0, "seed", 0
+        )
+        assert pickle.loads(pickle.dumps(estimate)) == estimate
 
     def test_unknown_source_rejected(self, tmp_path):
         path = tmp_path / "estimates.tsv"
