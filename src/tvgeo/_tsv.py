@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import re
 from contextlib import contextmanager, suppress
-from itertools import dropwhile
+from itertools import chain, dropwhile
 from operator import length_hint
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -147,21 +147,22 @@ class Rows:
 class Columns(Rows):
     """The records of one TSV file whose data rows have len(types) fields.
 
-    Use as `with Columns(path, types, record, parse_row) as records: ...`;
-    a ValueError raised in the block names the current row's line, as for
+    Use as `with Columns(path, types, records, parse_row) as rows: ...`; a
+    ValueError raised in the block names the current row's line, as for
     Rows. The file is read about _CHUNK_BYTES of lines at a time. Comment
     lines at the head of a chunk (the file's header block) are checked as
     the row loop checks them. When every other line of the chunk has exactly
     len(types) - 1 tabs, and none is a comment, the chunk is joined and split
-    once, each column is converted by map(types[k], ...) (str keeps the
-    text), and record(*values) makes each row's record, or the row is a tuple
-    of its values when record is None. A chunk that fails any of this goes
-    through the row loop instead: parse_row(fields) makes the record of each
-    of its rows, in order, and raises the one message for a bad row.
+    once, each column is converted by map(types[k], ...) into a list (str
+    keeps the text), and records(*columns) makes the chunk's records, one
+    per row in order: zip for tuples, or map over a record type. A chunk
+    that fails any of this goes through the row loop instead:
+    parse_row(fields) makes the record of each of its rows, in order, and
+    raises the one message for a bad row.
 
-    So parse_row defines the format. record must raise ValueError, of any
-    text, for every row whose converted values parse_row would reject, and
-    must return the record parse_row returns for every other row. A blank
+    So parse_row defines the format. records must raise ValueError, of any
+    text, for a chunk holding a row whose converted values parse_row would
+    reject, and must otherwise give the records parse_row returns. A blank
     line of len(types) - 1 tabs reaches the column path; int and float reject
     its fields, so types must hold at least one of them.
     """
@@ -170,12 +171,12 @@ class Columns(Rows):
         self,
         path: str | Path,
         types: Sequence[Callable[[str], Any]],
-        record: Callable[..., Any] | None,
+        records: Callable[..., Iterable[Any]],
         parse_row: Callable[[list[str]], Any],
     ):
         super().__init__(path)
         self.types = tuple(types)
-        self.record = record
+        self.records = records
         self.parse_row = parse_row
         # The iterator over the records of the chunk being yielded, and the
         # line of the chunk's last record.
@@ -183,6 +184,12 @@ class Columns(Rows):
         self._last = 0
 
     def __iter__(self) -> Iterator[Any]:
+        # The rows pass through chain and the chunk's iterator, both in C;
+        # _chunks runs once per chunk.
+        return chain.from_iterable(self._chunks())
+
+    def _chunks(self) -> Iterator[Iterator[Any]]:
+        """An iterator over the records of each chunk, in file order."""
         path = self.path
         start = 1  # the line number of the chunk's first line
         with open(path, encoding="utf-8") as fh:
@@ -193,7 +200,7 @@ class Columns(Rows):
                     # The row path reads on from the chunk's first line and
                     # fails where it always fails.
                     rows = dropwhile(lambda row: row[0] < start, iter_rows(path))
-                    yield from map(self.parse_row, self._track(rows))
+                    yield map(self.parse_row, self._track(rows))
                     return
                 if not lines:
                     return
@@ -203,11 +210,11 @@ class Columns(Rows):
                     head += 1
                 records = self._convert(lines[head:])
                 if records is None:
-                    yield from map(self.parse_row, self._track(_rows(lines, start, path)))
+                    yield map(self.parse_row, self._track(_rows(lines, start, path)))
                 else:
                     self._last = start + head + len(records) - 1
                     self._chunk = iter(records)
-                    yield from self._chunk
+                    yield self._chunk
                     self._chunk = None
                 start += len(lines)
 
@@ -230,14 +237,12 @@ class Columns(Rows):
             return None
         del last[-1]
         columns = [tokens[k::n] for k in range(n - 1)] + [last]
-        values = [
-            column if convert is str else map(convert, column)
-            for convert, column in zip(self.types, columns)
-        ]
         try:
-            if self.record is None:
-                return list(zip(*values))
-            return list(map(self.record, *values))
+            values = [
+                column if convert is str else list(map(convert, column))
+                for convert, column in zip(self.types, columns)
+            ]
+            return list(self.records(*values))
         except ValueError:
             return None
 

@@ -13,7 +13,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 from . import _tsv
 from .geodesy import GeoPoint, _unit_vector, geodesic_distance, near_ties
 from .graph import SocialNetwork
-from .ground_truth import _SEED_TYPES, _seed_record, _seed_row
+from .ground_truth import _SEED_TYPES, _seed_records, _seed_row
 from .solver import EstimateState, LocationEstimate, SolverConfig, infer
 
 @dataclass(frozen=True)
@@ -59,8 +59,10 @@ def _add_city_name(name: str, names: set[str]) -> None:
     names.add(name)
 
 
-def _city(name: str, lat: float, lon: float, population: int) -> tuple[str, GeoPoint, int]:
-    return name, GeoPoint(lat, lon), population
+def _cities(
+    names: list[str], lats: list[float], lons: list[float], populations: list[int]
+) -> Iterator[tuple[str, GeoPoint, int]]:
+    return zip(names, map(GeoPoint, lats, lons), populations)
 
 
 def _city_row(fields: list[str]) -> tuple[str, GeoPoint, int]:
@@ -85,7 +87,7 @@ class CityTable:
     def from_tsv(cls, path: str | Path) -> "CityTable":
         entries = []
         names: set[str] = set()
-        with _tsv.Columns(path, (str, float, float, int), _city, _city_row) as rows:
+        with _tsv.Columns(path, (str, float, float, int), _cities, _city_row) as rows:
             for name, point, pop in rows:
                 _add_city_name(name, names)
                 entries.append(CityEntry(name, point, pop))
@@ -238,9 +240,9 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
     first = next(_tsv.iter_rows(path), None)
     width = 3 if first is None else len(first[1])
     if width == 5:
-        layout = (_SEED_TYPES, _seed_record, _seed_row)
+        layout = (_SEED_TYPES, _seed_records, _seed_row)
     elif width == 3:
-        layout = ((int, float, float), _truth_record, _truth_row)
+        layout = ((int, float, float), _truth_records, _truth_row)
     else:
         raise ValueError(f"{path}:{first[0]}: expected 3 (truth) or 5 (seeds) fields, got {width}")
     truth: dict[int, GeoPoint] = {}
@@ -253,8 +255,10 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
     return truth
 
 
-def _truth_record(user: int, lat: float, lon: float) -> tuple[int, GeoPoint]:
-    return user, GeoPoint(lat, lon)
+def _truth_records(
+    users: list[int], lats: list[float], lons: list[float]
+) -> Iterator[tuple[int, GeoPoint]]:
+    return zip(users, map(GeoPoint, lats, lons))
 
 
 def _truth_row(fields: list[str]) -> tuple[int, GeoPoint]:

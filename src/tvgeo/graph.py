@@ -274,7 +274,7 @@ NETWORK_COLUMNS = ("u", "v", "weight")
 
 def iter_mention_file(path: str | Path) -> Iterator[tuple[int, int, int]]:
     """Parse a mention TSV; parse failures raise ValueError with path:line."""
-    with _tsv.Columns(path, (int, int, int), None, _mention_row) as rows:
+    with _tsv.Columns(path, (int, int, int), zip, _mention_row) as rows:
         yield from rows
 
 
@@ -293,7 +293,7 @@ def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
 
 
 def read_network_file(path: str | Path) -> SocialNetwork:
-    with _tsv.Columns(path, (int, int, int), None, _network_edge) as rows:
+    with _tsv.Columns(path, (int, int, int), zip, _network_edge) as rows:
         return SocialNetwork.from_edges(rows)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from . import _tsv, _workers
 from .geodesy import GeoPoint, _unit_vector, central_angles, distance_bounds, geodesic_distance
@@ -100,7 +100,7 @@ class Gazetteer:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Gazetteer":
         gazetteer = cls({})
-        with _tsv.Columns(path, (str, float, float), _named_point, _gazetteer_row) as rows:
+        with _tsv.Columns(path, (str, float, float), _named_points, _gazetteer_row) as rows:
             for name, point in rows:
                 gazetteer._add(name, point)
         return gazetteer
@@ -117,8 +117,10 @@ class Gazetteer:
         return self._entries.get(normalize_place(text))
 
 
-def _named_point(name: str, lat: float, lon: float) -> tuple[str, GeoPoint]:
-    return name, GeoPoint(lat, lon)
+def _named_points(
+    names: list[str], lats: list[float], lons: list[float]
+) -> Iterator[tuple[str, GeoPoint]]:
+    return zip(names, map(GeoPoint, lats, lons))
 
 
 def _gazetteer_row(fields: list[str]) -> tuple[str, GeoPoint]:
@@ -272,8 +274,10 @@ def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
     users: dict[int, int] = {}
     intern = users.setdefault
 
-    def event(user: int, lat: float, lon: float, ts: float) -> GpsEvent:
-        return GpsEvent(intern(user, user), GeoPoint(lat, lon), ts)
+    def events(
+        users: list[int], lats: list[float], lons: list[float], times: list[float]
+    ) -> Iterator[GpsEvent]:
+        return map(GpsEvent, map(intern, users, users), map(GeoPoint, lats, lons), times)
 
     def event_row(fields: list[str]) -> GpsEvent:
         _tsv.require_fields(fields, 4)
@@ -282,7 +286,7 @@ def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
         ts = _tsv.parse_float(fields[3], "timestamp")
         return GpsEvent(intern(user, user), point, ts)
 
-    with _tsv.Columns(path, (int, float, float, float), event, event_row) as rows:
+    with _tsv.Columns(path, (int, float, float, float), events, event_row) as rows:
         return list(rows)
 
 
@@ -314,11 +318,11 @@ def _seed_row(fields: list[str]) -> GroundTruthRecord:
     return GroundTruthRecord(user, point, fields[3], spread)
 
 
-def _seed_record(
-    user: int, lat: float, lon: float, source: str, spread: float
-) -> GroundTruthRecord:
-    """_seed_row's record from the converted columns (_tsv.Columns)."""
-    return GroundTruthRecord(user, GeoPoint(lat, lon), source, spread)
+def _seed_records(
+    users: list[int], lats: list[float], lons: list[float], sources: list[str], spreads: list[float]
+) -> Iterator[GroundTruthRecord]:
+    """_seed_row's records from the converted columns (_tsv.Columns)."""
+    return map(GroundTruthRecord, users, map(GeoPoint, lats, lons), sources, spreads)
 
 
 _SEED_TYPES = (int, float, float, str, float)
@@ -326,7 +330,7 @@ _SEED_TYPES = (int, float, float, str, float)
 
 def read_seeds_file(path: str | Path) -> dict[int, GroundTruthRecord]:
     seeds: dict[int, GroundTruthRecord] = {}
-    with _tsv.Columns(path, _SEED_TYPES, _seed_record, _seed_row) as rows:
+    with _tsv.Columns(path, _SEED_TYPES, _seed_records, _seed_row) as rows:
         for record in rows:
             if record.user in seeds:
                 raise ValueError(f"duplicate seed for user {record.user}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from statistics import median
 from typing import Iterable, Mapping, TextIO
@@ -285,7 +286,7 @@ def read_estimates_file(path: str | Path) -> EstimateState:
     located: dict[int, LocationEstimate] = {}
     max_iteration = 0
     types = (int, float, float, float, str, int)
-    with _tsv.Columns(path, types, _estimate, _estimate_row) as rows:
+    with _tsv.Columns(path, types, partial(map, _estimate), _estimate_row) as rows:
         for estimate in rows:
             if estimate.user in located:
                 raise ValueError(f"duplicate estimate for user {estimate.user}")
