@@ -27,8 +27,8 @@ FORMAT_VERSION = 1
 
 _FORMAT_RE = re.compile(r"#\s*format:\s*v(\d+)\s*$")
 
-# About 16 KB of lines per chunk: ~1,100 network rows. Larger chunks raise the
-# read's transient peak (64 KB read 182 B per edge of a network against 166).
+# About 16 KB of lines per chunk, ~1,000 rows of a network file. Larger chunks
+# raise a read's transient peak (see tests/test_graph.py TestNetworkMemory).
 _CHUNK_BYTES = 16384
 
 
@@ -237,12 +237,12 @@ class Columns(Rows):
             return None
         del last[-1]
         columns = [tokens[k::n] for k in range(n - 1)] + [last]
+        del text, tokens, last  # each numeric column's text goes once converted
         try:
-            values = [
-                column if convert is str else list(map(convert, column))
-                for convert, column in zip(self.types, columns)
-            ]
-            return list(self.records(*values))
+            for k, convert in enumerate(self.types):
+                if convert is not str:
+                    columns[k] = list(map(convert, columns[k]))
+            return list(self.records(*columns))
         except ValueError:
             return None
 

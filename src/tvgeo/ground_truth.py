@@ -319,7 +319,11 @@ def _seed_row(fields: list[str]) -> GroundTruthRecord:
 
 
 def _seed_records(
-    users: list[int], lats: list[float], lons: list[float], sources: list[str], spreads: list[float]
+    users: list[int],
+    lats: list[float],
+    lons: list[float],
+    sources: list[str],
+    spreads: list[float],
 ) -> Iterator[GroundTruthRecord]:
     """_seed_row's records from the converted columns (_tsv.Columns)."""
     return map(GroundTruthRecord, users, map(GeoPoint, lats, lons), sources, spreads)
