@@ -13,7 +13,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 from . import _tsv
 from .geodesy import GeoPoint, _unit_vector, geodesic_distance, near_ties
 from .graph import SocialNetwork
-from .ground_truth import _SEED_TYPES, _seed_records, _seed_row
+from .ground_truth import _SEED_TYPES, _keyed_points, _seed_records, _seed_row
 from .solver import EstimateState, LocationEstimate, SolverConfig, infer
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
     if width == 5:
         layout = (_SEED_TYPES, _seed_records, _seed_row)
     elif width == 3:
-        layout = ((int, float, float), _truth_records, _truth_row)
+        layout = ((int, float, float), _keyed_points, _truth_row)
     else:
         raise ValueError(f"{path}:{first[0]}: expected 3 (truth) or 5 (seeds) fields, got {width}")
     truth: dict[int, GeoPoint] = {}
@@ -253,12 +253,6 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
                 raise ValueError(f"duplicate truth for user {user}")
             truth[user] = point
     return truth
-
-
-def _truth_records(
-    users: list[int], lats: list[float], lons: list[float]
-) -> Iterator[tuple[int, GeoPoint]]:
-    return zip(users, map(GeoPoint, lats, lons))
 
 
 def _truth_row(fields: list[str]) -> tuple[int, GeoPoint]:

@@ -100,7 +100,7 @@ class Gazetteer:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Gazetteer":
         gazetteer = cls({})
-        with _tsv.Columns(path, (str, float, float), _named_points, _gazetteer_row) as rows:
+        with _tsv.Columns(path, (str, float, float), _keyed_points, _gazetteer_row) as rows:
             for name, point in rows:
                 gazetteer._add(name, point)
         return gazetteer
@@ -117,10 +117,10 @@ class Gazetteer:
         return self._entries.get(normalize_place(text))
 
 
-def _named_points(
-    names: list[str], lats: list[float], lons: list[float]
-) -> Iterator[tuple[str, GeoPoint]]:
-    return zip(names, map(GeoPoint, lats, lons))
+def _keyed_points(keys: list, lats: list[float], lons: list[float]) -> Iterator[tuple]:
+    """(key, GeoPoint) records from converted columns (_tsv.Columns); truth
+    files use it too."""
+    return zip(keys, map(GeoPoint, lats, lons))
 
 
 def _gazetteer_row(fields: list[str]) -> tuple[str, GeoPoint]:
