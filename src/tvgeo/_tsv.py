@@ -21,8 +21,6 @@ from operator import length_hint
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .geodesy import GeoPoint
-
 FORMAT_VERSION = 1
 
 _FORMAT_RE = re.compile(r"#\s*format:\s*v(\d+)\s*$")
@@ -30,6 +28,9 @@ _FORMAT_RE = re.compile(r"#\s*format:\s*v(\d+)\s*$")
 # About 16 KB of lines per chunk, ~1,000 rows of a network file. Larger chunks
 # raise a read's transient peak (see tests/test_graph.py TestNetworkMemory).
 _CHUNK_BYTES = 16384
+
+# A point's two columns for Columns, named as their messages name them.
+POINT_COLUMNS = (("latitude", float), ("longitude", float))
 
 
 def write_header(fh: TextIO, columns: Sequence[str]) -> None:
@@ -145,39 +146,40 @@ class Rows:
 
 
 class Columns(Rows):
-    """The records of one TSV file whose data rows have len(types) fields.
+    """The records of one fixed-width TSV file, its format given once.
 
-    Use as `with Columns(path, types, records, parse_row) as rows: ...`; a
-    ValueError raised in the block names the current row's line, as for
-    Rows. The file is read about _CHUNK_BYTES of lines at a time. Comment
-    lines at the head of a chunk (the file's header block) are checked as
-    the row loop checks them. When every other line of the chunk has exactly
-    len(types) - 1 tabs, and none is a comment, the chunk is joined and split
-    once, each column is converted by map(types[k], ...) into a list (str
-    keeps the text), and records(*columns) makes the chunk's records, one
-    per row in order: zip for tuples, or map over a record type. A chunk
-    that fails any of this goes through the row loop instead:
-    parse_row(fields) makes the record of each of its rows, in order, and
-    raises the one message for a bad row.
+    Use as `with Columns(path, columns, records) as rows: ...`; a ValueError
+    raised in the block names the current row's line, as for Rows. columns
+    holds a (name, convert) pair per field: convert is int, float or str.
+    records(*columns) is the format's one record builder: from the converted
+    columns of some rows it returns their records in order (zip for tuples,
+    or map over a record type), and raises a messaged ValueError for a bad
+    value.
 
-    So parse_row defines the format. records must raise ValueError, of any
-    text, for a chunk holding a row whose converted values parse_row would
-    reject, and must otherwise give the records parse_row returns. A blank
-    line of len(types) - 1 tabs reaches the column path; int and float reject
-    its fields, so types must hold at least one of them.
+    The file is read about _CHUNK_BYTES of lines at a time. Comment lines at
+    the head of a chunk (the file's header block) are checked as the row loop
+    checks them. When every other line of the chunk has len(columns) - 1
+    tabs, and none is a comment, the chunk is split once, each column is
+    converted by map(convert, ...), and records(*columns) makes the chunk's
+    records. Any other chunk, or one whose conversion or records raises, goes
+    through the row loop: per row, the field count is checked, each field is
+    converted in column order (`bad <name> <value!r>`), and records is called
+    with one-row columns. So a row's message names its first field that does
+    not convert, and otherwise comes from records.
+
+    A blank line of len(columns) - 1 tabs reaches the column path; int and
+    float reject its fields, so columns must hold at least one of them.
     """
 
     def __init__(
         self,
         path: str | Path,
-        types: Sequence[Callable[[str], Any]],
+        columns: Sequence[tuple[str, Callable[[str], Any]]],
         records: Callable[..., Iterable[Any]],
-        parse_row: Callable[[list[str]], Any],
     ):
         super().__init__(path)
-        self.types = tuple(types)
+        self.columns = tuple(columns)
         self.records = records
-        self.parse_row = parse_row
         # The iterator over the records of the chunk being yielded, and the
         # line of the chunk's last record.
         self._chunk: Iterator[Any] | None = None
@@ -200,7 +202,7 @@ class Columns(Rows):
                     # The row path reads on from the chunk's first line and
                     # fails where it always fails.
                     rows = dropwhile(lambda row: row[0] < start, iter_rows(path))
-                    yield map(self.parse_row, self._track(rows))
+                    yield map(self._record, self._track(rows))
                     return
                 if not lines:
                     return
@@ -210,7 +212,7 @@ class Columns(Rows):
                     head += 1
                 records = self._convert(lines[head:])
                 if records is None:
-                    yield map(self.parse_row, self._track(_rows(lines, start, path)))
+                    yield map(self._record, self._track(_rows(lines, start, path)))
                 else:
                     self._last = start + head + len(records) - 1
                     self._chunk = iter(records)
@@ -225,7 +227,7 @@ class Columns(Rows):
             return []
         if not data[-1].endswith("\n"):
             data[-1] += "\n"  # the file's last line
-        n = len(self.types)
+        n = len(self.columns)
         text = "\t".join(data)
         tokens = text.split("\t")
         if len(tokens) != n * len(data) or "\n\t#" in text:
@@ -239,12 +241,24 @@ class Columns(Rows):
         columns = [tokens[k::n] for k in range(n - 1)] + [last]
         del text, tokens, last  # each numeric column's text goes once converted
         try:
-            for k, convert in enumerate(self.types):
+            for k, (_, convert) in enumerate(self.columns):
                 if convert is not str:
                     columns[k] = list(map(convert, columns[k]))
             return list(self.records(*columns))
         except ValueError:
             return None
+
+    def _record(self, fields: list[str]) -> Any:
+        """The record of one row of the row loop."""
+        require_fields(fields, len(self.columns))
+        values = []
+        for (name, convert), value in zip(self.columns, fields):
+            try:
+                values.append((convert(value),))
+            except ValueError:
+                raise ValueError(f"bad {name} {value!r}") from None
+        [record] = self.records(*values)
+        return record
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self.lineno is None and self._chunk is not None:
@@ -265,10 +279,6 @@ def parse_float(value: str, what: str) -> float:
         return float(value)
     except ValueError:
         raise ValueError(f"bad {what} {value!r}") from None
-
-
-def parse_point(lat: str, lon: str) -> GeoPoint:
-    return GeoPoint(parse_float(lat, "latitude"), parse_float(lon, "longitude"))
 
 
 def require_fields(fields: list[str], n: int) -> None:

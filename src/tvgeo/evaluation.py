@@ -13,7 +13,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 from . import _tsv
 from .geodesy import GeoPoint, _unit_vector, geodesic_distance, near_ties
 from .graph import SocialNetwork
-from .ground_truth import _SEED_TYPES, _keyed_points, _seed_records, _seed_row
+from .ground_truth import _SEED_FORMAT, _keyed_points, _seed_records
 from .solver import EstimateState, LocationEstimate, SolverConfig, infer
 
 @dataclass(frozen=True)
@@ -65,11 +65,7 @@ def _cities(
     return zip(names, map(GeoPoint, lats, lons), populations)
 
 
-def _city_row(fields: list[str]) -> tuple[str, GeoPoint, int]:
-    _tsv.require_fields(fields, 4)
-    point = _tsv.parse_point(fields[1], fields[2])
-    pop = _tsv.parse_int(fields[3], "population")
-    return fields[0], point, pop
+_CITY_FORMAT = (("name", str), *_tsv.POINT_COLUMNS, ("population", int))
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ class CityTable:
     def from_tsv(cls, path: str | Path) -> "CityTable":
         entries = []
         names: set[str] = set()
-        with _tsv.Columns(path, (str, float, float, int), _cities, _city_row) as rows:
+        with _tsv.Columns(path, _CITY_FORMAT, _cities) as rows:
             for name, point, pop in rows:
                 _add_city_name(name, names)
                 entries.append(CityEntry(name, point, pop))
@@ -240,9 +236,9 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
     first = next(_tsv.iter_rows(path), None)
     width = 3 if first is None else len(first[1])
     if width == 5:
-        layout = (_SEED_TYPES, _seed_records, _seed_row)
+        layout = (_SEED_FORMAT, _seed_records)
     elif width == 3:
-        layout = ((int, float, float), _keyed_points, _truth_row)
+        layout = ((("user_id", int), *_tsv.POINT_COLUMNS), _keyed_points)
     else:
         raise ValueError(f"{path}:{first[0]}: expected 3 (truth) or 5 (seeds) fields, got {width}")
     truth: dict[int, GeoPoint] = {}
@@ -253,8 +249,3 @@ def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:
                 raise ValueError(f"duplicate truth for user {user}")
             truth[user] = point
     return truth
-
-
-def _truth_row(fields: list[str]) -> tuple[int, GeoPoint]:
-    _tsv.require_fields(fields, 3)
-    return _tsv.parse_int(fields[0], "user_id"), _tsv.parse_point(fields[1], fields[2])

@@ -14,6 +14,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from operator import index
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
@@ -73,10 +74,11 @@ class SocialNetwork:
     costs time the flat rows save.
 
     Construction is the one edge check. Edges are read one at a time, in
-    either orientation; a self-loop, a weight below 1 or past the float
-    range, or a pair given twice raises ValueError at the first such edge in
-    input order, so a reader that feeds it rows can name the line. The
-    message names the edge, never a too-large weight's digits.
+    either orientation; a self-loop, a weight that is not an integer
+    (operator.index refuses it: 2.7, nan or '3'), a weight below 1 or past
+    the float range, or a pair given twice raises ValueError at the first
+    such edge in input order, so a reader that feeds it rows can name the
+    line. The message names the edge, never a too-large weight's digits.
     """
 
     __slots__ = ("_ids", "_index", "_offsets", "_neighbor_ids", "_weights")
@@ -101,7 +103,11 @@ class SocialNetwork:
         for u, v, w in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
-            w = int(w)
+            try:
+                w = index(w)
+            except TypeError:
+                edge = f"edge ({min(u, v)}, {max(u, v)})"
+                raise ValueError(f"{edge} has a non-integer weight {w!r}") from None
             if not 1 <= w <= max_weight:
                 edge = f"edge ({min(u, v)}, {max(u, v)})"
                 if w < 1:
@@ -274,16 +280,8 @@ NETWORK_COLUMNS = ("u", "v", "weight")
 
 def iter_mention_file(path: str | Path) -> Iterator[tuple[int, int, int]]:
     """Parse a mention TSV; parse failures raise ValueError with path:line."""
-    with _tsv.Columns(path, (int, int, int), zip, _mention_row) as rows:
+    with _tsv.Columns(path, (("src_id", int), ("dst_id", int), ("count", int)), zip) as rows:
         yield from rows
-
-
-def _mention_row(fields: list[str]) -> tuple[int, int, int]:
-    _tsv.require_fields(fields, 3)
-    src = _tsv.parse_int(fields[0], "src_id")
-    dst = _tsv.parse_int(fields[1], "dst_id")
-    count = _tsv.parse_int(fields[2], "count")
-    return src, dst, count
 
 
 def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
@@ -293,13 +291,5 @@ def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
 
 
 def read_network_file(path: str | Path) -> SocialNetwork:
-    with _tsv.Columns(path, (int, int, int), zip, _network_edge) as rows:
+    with _tsv.Columns(path, (("node id", int), ("node id", int), ("weight", int)), zip) as rows:
         return SocialNetwork.from_edges(rows)
-
-
-def _network_edge(fields: list[str]) -> tuple[int, int, int]:
-    _tsv.require_fields(fields, 3)
-    u = _tsv.parse_int(fields[0], "node id")
-    v = _tsv.parse_int(fields[1], "node id")
-    w = _tsv.parse_int(fields[2], "weight")
-    return u, v, w

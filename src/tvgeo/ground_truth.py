@@ -100,7 +100,7 @@ class Gazetteer:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "Gazetteer":
         gazetteer = cls({})
-        with _tsv.Columns(path, (str, float, float), _keyed_points, _gazetteer_row) as rows:
+        with _tsv.Columns(path, (("name", str), *_tsv.POINT_COLUMNS), _keyed_points) as rows:
             for name, point in rows:
                 gazetteer._add(name, point)
         return gazetteer
@@ -121,11 +121,6 @@ def _keyed_points(keys: list, lats: list[float], lons: list[float]) -> Iterator[
     """(key, GeoPoint) records from converted columns (_tsv.Columns); truth
     files use it too."""
     return zip(keys, map(GeoPoint, lats, lons))
-
-
-def _gazetteer_row(fields: list[str]) -> tuple[str, GeoPoint]:
-    _tsv.require_fields(fields, 3)
-    return fields[0], _tsv.parse_point(fields[1], fields[2])
 
 
 def max_speed(events: Sequence[GpsEvent]) -> float:
@@ -279,14 +274,8 @@ def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
     ) -> Iterator[GpsEvent]:
         return map(GpsEvent, map(intern, users, users), map(GeoPoint, lats, lons), times)
 
-    def event_row(fields: list[str]) -> GpsEvent:
-        _tsv.require_fields(fields, 4)
-        user = _tsv.parse_int(fields[0], "user_id")
-        point = _tsv.parse_point(fields[1], fields[2])
-        ts = _tsv.parse_float(fields[3], "timestamp")
-        return GpsEvent(intern(user, user), point, ts)
-
-    with _tsv.Columns(path, (int, float, float, float), events, event_row) as rows:
+    columns = (("user_id", int), *_tsv.POINT_COLUMNS, ("timestamp", float))
+    with _tsv.Columns(path, columns, events) as rows:
         return list(rows)
 
 
@@ -308,16 +297,6 @@ def write_seeds_file(seeds: Mapping[int, GroundTruthRecord], fh: TextIO) -> None
         fh.write(f"{user}\t{r.home.lat!r}\t{r.home.lon!r}\t{r.source}\t{r.spread_km!r}\n")
 
 
-def _seed_row(fields: list[str]) -> GroundTruthRecord:
-    """The record of one seeds-file row; read_truth_file parses seeds with it
-    too."""
-    _tsv.require_fields(fields, 5)
-    user = _tsv.parse_int(fields[0], "user_id")
-    point = _tsv.parse_point(fields[1], fields[2])
-    spread = _tsv.parse_float(fields[4], "spread_km")
-    return GroundTruthRecord(user, point, fields[3], spread)
-
-
 def _seed_records(
     users: list[int],
     lats: list[float],
@@ -325,16 +304,17 @@ def _seed_records(
     sources: list[str],
     spreads: list[float],
 ) -> Iterator[GroundTruthRecord]:
-    """_seed_row's records from the converted columns (_tsv.Columns)."""
+    """The seeds file's records from its converted columns (_tsv.Columns);
+    read_truth_file reads seeds files with it too."""
     return map(GroundTruthRecord, users, map(GeoPoint, lats, lons), sources, spreads)
 
 
-_SEED_TYPES = (int, float, float, str, float)
+_SEED_FORMAT = (("user_id", int), *_tsv.POINT_COLUMNS, ("source", str), ("spread_km", float))
 
 
 def read_seeds_file(path: str | Path) -> dict[int, GroundTruthRecord]:
     seeds: dict[int, GroundTruthRecord] = {}
-    with _tsv.Columns(path, _SEED_TYPES, _seed_records, _seed_row) as rows:
+    with _tsv.Columns(path, _SEED_FORMAT, _seed_records) as rows:
         for record in rows:
             if record.user in seeds:
                 raise ValueError(f"duplicate seed for user {record.user}")

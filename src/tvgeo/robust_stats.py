@@ -93,13 +93,6 @@ class WeightedPointSet:
         return math.fsum(self.weights)
 
 
-def weighted_distance_sum(candidate: GeoPoint, s: WeightedPointSet) -> float:
-    """The l1 objective: sum of w_j * d(candidate, p_j)."""
-    return math.fsum(
-        w * geodesic_distance(candidate, p) for p, w in zip(s.points, s.weights)
-    )
-
-
 def geodesic_l1_median(s: WeightedPointSet) -> GeoPoint:
     """Weighted geodesic l1-median (geometric median) of a point set.
 
@@ -266,9 +259,10 @@ def _medoid(s: WeightedPointSet) -> GeoPoint:
     An exact objective is the fsum of the candidate's row of distances,
     whose diagonal is the exact 0.0 a point's distance to itself is. The
     fsum is correctly rounded whatever the order of its terms, so it equals
-    weighted_distance_sum of that point. Distances are symmetric bit for
-    bit (geodesic_distance orders its arguments), so a pair already in an
-    earlier candidate's row is read from there: no pair is measured twice.
+    the point's l1 objective, the fsum of w_j * d(point, p_j). Distances are
+    symmetric bit for bit (geodesic_distance orders its arguments), so a pair
+    already in an earlier candidate's row is read from there: no pair is
+    measured twice.
     """
     points = s.points
     weights = s.weights

@@ -285,8 +285,14 @@ def write_estimates_file(state: EstimateState, fh: TextIO) -> None:
 def read_estimates_file(path: str | Path) -> EstimateState:
     located: dict[int, LocationEstimate] = {}
     max_iteration = 0
-    types = (int, float, float, float, str, int)
-    with _tsv.Columns(path, types, partial(map, _estimate), _estimate_row) as rows:
+    columns = (
+        ("user_id", int),
+        *_tsv.POINT_COLUMNS,
+        ("dispersion_km", float),
+        ("source", str),
+        ("first_located_iteration", int),
+    )
+    with _tsv.Columns(path, columns, partial(map, _estimate)) as rows:
         for estimate in rows:
             if estimate.user in located:
                 raise ValueError(f"duplicate estimate for user {estimate.user}")
@@ -295,32 +301,19 @@ def read_estimates_file(path: str | Path) -> EstimateState:
     return EstimateState(located, max_iteration)
 
 
-def _estimate_row(fields: list[str]) -> LocationEstimate:
-    _tsv.require_fields(fields, 6)
-    user = _tsv.parse_int(fields[0], "user_id")
-    point = _tsv.parse_point(fields[1], fields[2])
-    disp = _tsv.parse_float(fields[3], "dispersion_km")
-    if disp < 0.0 or disp == math.inf:  # NaN is valid: no located neighbor
-        raise ValueError(f"dispersion_km must be NaN or finite and >= 0, got {disp!r}")
-    source = fields[4]
-    if source not in (SOURCE_SEED, SOURCE_INFERRED):
-        raise ValueError(f"unknown source {source!r}")
-    first = _tsv.parse_int(fields[5], "first_located_iteration")
-    if source == SOURCE_SEED and first != 0:
-        raise ValueError(f"seed row with first_located_iteration {first}, expected 0")
-    if source == SOURCE_INFERRED and first < 1:
-        raise ValueError(f"inferred row with first_located_iteration {first}, expected >= 1")
-    return LocationEstimate(user, point, disp, source, first)
-
-
 def _estimate(
     user: int, lat: float, lon: float, disp: float, source: str, first: int
 ) -> LocationEstimate:
-    """_estimate_row's record from the converted columns (_tsv.Columns). It
-    raises a bare ValueError for any row _estimate_row rejects, which then
-    names the fault."""
-    if disp < 0.0 or disp == math.inf:
-        raise ValueError
-    if not (first == 0 if source == SOURCE_SEED else source == SOURCE_INFERRED and first >= 1):
-        raise ValueError
-    return LocationEstimate(user, GeoPoint(lat, lon), disp, source, first)
+    """The estimates file's record of one row's converted values
+    (_tsv.Columns)."""
+    point = GeoPoint(lat, lon)
+    if disp < 0.0 or disp == math.inf:  # NaN is valid: no located neighbor
+        raise ValueError(f"dispersion_km must be NaN or finite and >= 0, got {disp!r}")
+    if source == SOURCE_SEED:
+        if first != 0:
+            raise ValueError(f"seed row with first_located_iteration {first}, expected 0")
+    elif source != SOURCE_INFERRED:
+        raise ValueError(f"unknown source {source!r}")
+    elif first < 1:
+        raise ValueError(f"inferred row with first_located_iteration {first}, expected >= 1")
+    return LocationEstimate(user, point, disp, source, first)

@@ -7,13 +7,15 @@ evaluated by adaptive quadrature, so its only approximation is quadrature
 tolerance (~1e-13). grid_search_median minimizes the weighted distance sum by
 multi-level grid refinement down to a target resolution. Both are validated
 against closed forms in the test suite and share nothing with the library's
-algorithms beyond the ellipsoid constants. max_speed_every_leg is the plain
+algorithms beyond the ellipsoid constants. weighted_distance_sum is the l1
+objective the medians minimize. max_speed_every_leg is the plain
 every-leg loop that ground_truth.max_speed prunes. adjacency_oracle is the
 network layout that SocialNetwork's compressed rows replaced: a dict of
 sorted (neighbor, weight) tuples per node. The row_* readers are the
 package's file readers as they were before _tsv.Columns: one _tsv.Rows loop
-each, parsing every row with the parse_* helpers. They are the reference
-that the chunked readers must match in values and in error text.
+each, parsing every row with the parse_* helpers and parse_point. They are
+the reference that the chunked readers must match in values and in error
+text.
 """
 
 from __future__ import annotations
@@ -175,6 +177,14 @@ def grid_search_median(points, weights, resolution_km: float = 0.1):
     return GeoPoint(best[1], best[2]), best[0]
 
 
+def weighted_distance_sum(candidate, s) -> float:
+    """The l1 objective of a WeightedPointSet: the fsum of w_j * d(candidate,
+    p_j)."""
+    from tvgeo.geodesy import geodesic_distance
+
+    return math.fsum(w * geodesic_distance(candidate, p) for p, w in zip(s.points, s.weights))
+
+
 def max_speed_every_leg(events) -> float:
     """ground_truth.max_speed's reference: geodesic_distance on every leg, in
     order, with the same zero-gap rule (a gap whose hours round to 0.0 is
@@ -217,6 +227,13 @@ def adjacency_oracle(edges) -> dict:
 # also has the dispersion check that came with the move.
 
 
+def parse_point(lat, lon):
+    from tvgeo import _tsv
+    from tvgeo.geodesy import GeoPoint
+
+    return GeoPoint(_tsv.parse_float(lat, "latitude"), _tsv.parse_float(lon, "longitude"))
+
+
 def row_iter_mention_file(path):
     from tvgeo import _tsv
 
@@ -255,7 +272,7 @@ def row_read_gps_events_file(path):
             _tsv.require_fields(fields, 4)
             user = _tsv.parse_int(fields[0], "user_id")
             user = users.setdefault(user, user)
-            point = _tsv.parse_point(fields[1], fields[2])
+            point = parse_point(fields[1], fields[2])
             ts = _tsv.parse_float(fields[3], "timestamp")
             events.append(GpsEvent(user, point, ts))
     return events
@@ -267,7 +284,7 @@ def _row_seed(fields):
 
     _tsv.require_fields(fields, 5)
     user = _tsv.parse_int(fields[0], "user_id")
-    point = _tsv.parse_point(fields[1], fields[2])
+    point = parse_point(fields[1], fields[2])
     spread = _tsv.parse_float(fields[4], "spread_km")
     return GroundTruthRecord(user, point, fields[3], spread)
 
@@ -300,7 +317,7 @@ def row_read_truth_file(path):
             elif width == 3:
                 _tsv.require_fields(fields, 3)
                 user = _tsv.parse_int(fields[0], "user_id")
-                point = _tsv.parse_point(fields[1], fields[2])
+                point = parse_point(fields[1], fields[2])
             else:
                 raise ValueError(f"expected 3 (truth) or 5 (seeds) fields, got {width}")
             if user in truth:
@@ -318,7 +335,7 @@ def row_city_table(path):
     with _tsv.Rows(path) as rows:
         for fields in rows:
             _tsv.require_fields(fields, 4)
-            point = _tsv.parse_point(fields[1], fields[2])
+            point = parse_point(fields[1], fields[2])
             pop = _tsv.parse_int(fields[3], "population")
             if fields[0] in names:
                 raise ValueError(f"duplicate city name {fields[0]!r}")
@@ -335,7 +352,7 @@ def row_gazetteer(path):
     with _tsv.Rows(path) as rows:
         for fields in rows:
             _tsv.require_fields(fields, 3)
-            gazetteer._add(fields[0], _tsv.parse_point(fields[1], fields[2]))
+            gazetteer._add(fields[0], parse_point(fields[1], fields[2]))
     return gazetteer
 
 
@@ -349,7 +366,7 @@ def row_read_estimates_file(path):
         for fields in rows:
             _tsv.require_fields(fields, 6)
             user = _tsv.parse_int(fields[0], "user_id")
-            point = _tsv.parse_point(fields[1], fields[2])
+            point = parse_point(fields[1], fields[2])
             disp = _tsv.parse_float(fields[3], "dispersion_km")
             if disp < 0.0 or disp == math.inf:
                 raise ValueError(f"dispersion_km must be NaN or finite and >= 0, got {disp!r}")

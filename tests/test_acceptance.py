@@ -23,11 +23,12 @@ import io
 import math
 import random
 import time
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from tvgeo import _workers
+from tvgeo import _workers, robust_stats, solver
 from tvgeo.cli import main
 from tvgeo.evaluation import city_accuracy, evaluate, gamma_sweep
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
@@ -43,12 +44,12 @@ from tvgeo.ground_truth import (
     read_seeds_file,
     seed_points,
 )
-from tvgeo.robust_stats import WeightedPointSet, geodesic_l1_median, weighted_distance_sum
+from tvgeo.robust_stats import WeightedPointSet, geodesic_l1_median
 from tvgeo.solver import SolverConfig, infer, spatial_label_propagation, write_estimates_file
 from tvgeo.synth import SynthConfig, generate
 
 from conftest import BENCHMARK_CONFIG, BENCHMARK_SOLVER
-from oracles import grid_search_median, oracle_distance_km
+from oracles import grid_search_median, oracle_distance_km, weighted_distance_sum
 
 # Golden values from the first verified benchmark run (rng_seed 17).
 GOLDEN_DIGEST = "69b52e5a035b433a16d41e7308d79c42bfc0ae5168676780d19558439b8457f2"
@@ -56,6 +57,21 @@ GOLDEN_COVERAGE = 0.9842777777777778
 GOLDEN_MEDIAN_KM = 5.376356815095647
 GOLDEN_MEAN_KM = 99.82797332479703
 GOLDEN_CITY_ACCURACY = 0.9892193938025625
+
+# The serial benchmark solve's work: calls of each wrapped module attribute
+# during a 1-worker `tvgeo infer`, and the points of the medoid's sets, as
+# measured. A count may exceed its measure by SERIAL_WORK_MARGIN (1%), which
+# absorbs a platform's libm moving a Weiszfeld step or a fallback. A change
+# that cuts the work lowers these measures; one that raises them says why.
+SERIAL_WORK = {
+    "solver.geodesic_distance": 589_653,
+    "solver.node_update": 89_435,
+    "robust_stats.geodesic_distance": 78_848,
+    "robust_stats._unproject": 811_229,  # Weiszfeld steps
+    "robust_stats._medoid": 5_086,
+    "robust_stats._medoid points": 28_777,
+}
+SERIAL_WORK_MARGIN = 0.01
 
 CORRUPTION_FRACTION = 0.02
 CORRUPTION_RNG_SEED = 99
@@ -253,9 +269,37 @@ def test_ground_truth_filter_fixture(tmp_path):
         assert read_seeds_file(seeds_path) == expected
 
 
+@contextmanager
+def counted_work(counts):
+    """Count SERIAL_WORK's calls into counts while the block runs. The
+    wrappers sit on module attributes, so they see only this process: a
+    forked worker counts into its own copy."""
+
+    def counting(module, name, points=False):
+        fn = getattr(module, name)
+        key = f"{module.__name__.removeprefix('tvgeo.')}.{name}"
+
+        def wrapper(*args):
+            counts[key] += 1
+            if points:
+                counts[f"{key} points"] += len(args[0].points)
+            return fn(*args)
+
+        patch.setattr(module, name, wrapper)
+
+    with pytest.MonkeyPatch.context() as patch:
+        counting(solver, "geodesic_distance")
+        counting(solver, "node_update")
+        counting(robust_stats, "geodesic_distance")
+        counting(robust_stats, "_unproject")
+        counting(robust_stats, "_medoid", points=True)
+        yield
+
+
 def test_solver_determinism_across_workers(tmp_path, monkeypatch, benchmark_files, benchmark_run):
     """1, 4, and 16 workers produce byte-identical estimate files on the
-    committed benchmark, in under 2 minutes of total solver time."""
+    committed benchmark, in under 2 minutes of total solver time, and the
+    1-worker run's work stays within SERIAL_WORK plus its margin."""
     import concurrent.futures
 
     pool_sizes: list[int] = []
@@ -272,19 +316,21 @@ def test_solver_determinism_across_workers(tmp_path, monkeypatch, benchmark_file
     with criterion("determinism: 1/4/16 workers byte-identical, < 2 min"):
         _, _, reference_text, _ = benchmark_run
         elapsed = 0.0
+        work: Counter = Counter()
         for threads in (1, 4, 16):
             out = tmp_path / f"estimates_t{threads}.tsv"
             pool_sizes.clear()
             started = time.perf_counter()
-            code = main(
-                [
-                    "infer",
-                    str(benchmark_files["network"]),
-                    str(benchmark_files["seeds"]),
-                    "--threads", str(threads),
-                    "--out", str(out),
-                ]
-            )
+            with counted_work(work) if threads == 1 else nullcontext():
+                code = main(
+                    [
+                        "infer",
+                        str(benchmark_files["network"]),
+                        str(benchmark_files["seeds"]),
+                        "--threads", str(threads),
+                        "--out", str(out),
+                    ]
+                )
             elapsed += time.perf_counter() - started
             assert code == 0
             # One pool per round, each of the requested size.
@@ -295,6 +341,13 @@ def test_solver_determinism_across_workers(tmp_path, monkeypatch, benchmark_file
         digest = hashlib.sha256(reference_text.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_DIGEST
         assert elapsed < 120.0, f"three runs took {elapsed:.1f}s"
+        over = {
+            key: (work[key], measured)
+            for key, measured in SERIAL_WORK.items()
+            if work[key] > measured * (1.0 + SERIAL_WORK_MARGIN)
+        }
+        assert not over, f"serial solve work (count, measured) past its bound: {over}"
+        assert work["solver.node_update"] > 0, "the counting wrappers saw no call"
 
 
 def test_benchmark_accuracy(benchmark_run, benchmark_result, benchmark_test_points):

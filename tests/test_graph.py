@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import sys
 import tracemalloc
 
@@ -240,6 +241,20 @@ class TestWeightRange:
         assert net.neighbors(1) == ((2, _MAX_WEIGHT),)
         with pytest.raises(ValueError, match=r"^edge \(1, 2\) has a weight too large for a float$"):
             SocialNetwork.from_edges([(2, 1, _MAX_WEIGHT + 1)])
+
+    @pytest.mark.parametrize(
+        "weight, shown",
+        [(2.7, "2.7"), (0.5, "0.5"), (math.nan, "nan"), (math.inf, "inf"), ("3", "'3'")],
+    )
+    def test_a_non_integer_weight_is_rejected_by_both_constructors(self, weight, shown):
+        message = rf"^edge \(1, 2\) has a non-integer weight {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            SocialNetwork({(2, 1): weight})
+        with pytest.raises(ValueError, match=message):
+            SocialNetwork.from_edges([(2, 1, weight)])
+        # At its place in input order: after a good edge, before a bad one.
+        with pytest.raises(ValueError, match=message):
+            SocialNetwork.from_edges([(3, 4, 1), (1, 2, weight), (5, 5, 1)])
 
     def test_total_variation_takes_the_largest_accepted_weight(self):
         a = GeoPoint(0.0, 0.0)

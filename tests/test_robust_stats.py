@@ -14,10 +14,9 @@ from tvgeo.robust_stats import (
     _medoid,
     dispersion,
     geodesic_l1_median,
-    weighted_distance_sum,
 )
 
-from oracles import grid_search_median
+from oracles import grid_search_median, weighted_distance_sum
 
 
 def points_at_ranges(center: GeoPoint, ranges_km, bearing=73.0):

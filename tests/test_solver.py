@@ -18,7 +18,7 @@ from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
 from tvgeo import _workers, solver
 from tvgeo.graph import SocialNetwork
 from tvgeo.ground_truth import seed_points
-from tvgeo.robust_stats import WeightedPointSet, weighted_distance_sum
+from tvgeo.robust_stats import WeightedPointSet
 from tvgeo.solver import (
     EstimateState,
     LocationEstimate,
@@ -32,7 +32,7 @@ from tvgeo.solver import (
 )
 from tvgeo.synth import SynthConfig, generate
 
-from oracles import grid_search_median
+from oracles import grid_search_median, weighted_distance_sum
 
 P = GeoPoint(40.0, -3.0)
 Q = destination(P, 90.0, 5000.0)  # far across the map

@@ -55,6 +55,14 @@ OUT_OF_RANGE = "latitude 91.0 outside [-90, 90]"
             "dispersion_km must be NaN or finite and >= 0, got -inf",
         ),
         (read_gps_events_file, "1\t48.85\t2.35\tnan", "timestamp must be finite, got nan"),
+        # Two faults: the field that does not convert is named, before the
+        # latitude's range or the dispersion's sign is checked.
+        (read_gps_events_file, "1\t91\t2.35\tx", "bad timestamp 'x'"),
+        (
+            read_estimates_file,
+            "1\t48.85\t2.35\t-5\tinferred\tx",
+            "bad first_located_iteration 'x'",
+        ),
         (read_profile_claims_file, "1\tinf\tParis", "observed_at must be finite, got inf"),
         (CityTable.from_tsv, "Paris\t48.85\t2.35\t-1", "population must be >= 0, got -1"),
         (Gazetteer.from_tsv, " \t48.85\t2.35", "gazetteer entry with empty name"),
