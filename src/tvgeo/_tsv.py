@@ -1,5 +1,5 @@
-"""Shared helpers for the tab-separated file formats, and the atomic writer
-every output file goes through.
+"""Shared helpers for the tab-separated file formats, the one CSV report
+writer, and the atomic writer every output file goes through.
 
 Files are UTF-8; `#`-prefixed lines are comments. Writers stamp a
 `# format: v1` header and readers reject files declaring any other version.
@@ -17,7 +17,7 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from itertools import chain, dropwhile
-from operator import length_hint
+from operator import attrgetter, length_hint
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -36,6 +36,15 @@ POINT_COLUMNS = (("latitude", float), ("longitude", float))
 def write_header(fh: TextIO, columns: Sequence[str]) -> None:
     fh.write(f"# format: v{FORMAT_VERSION}\n")
     fh.write("# " + "\t".join(columns) + "\n")
+
+
+def write_csv(fh: TextIO, columns: Sequence[str], rows: Iterable[Any]) -> None:
+    """Write a header of attribute names, then each row's attributes: a
+    value's repr, or an empty cell for None."""
+    fh.write(",".join(columns) + "\n")
+    cells = attrgetter(*columns) if len(columns) > 1 else lambda row: (getattr(row, columns[0]),)
+    for row in rows:
+        fh.write(",".join(["" if cell is None else repr(cell) for cell in cells(row)]) + "\n")
 
 
 @contextmanager

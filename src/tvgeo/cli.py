@@ -18,7 +18,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import __version__, _workers
 from ._tsv import atomic_write
@@ -57,6 +57,7 @@ from .solver import (
     infer,
     read_estimates_file,
     write_estimates_file,
+    write_iteration_stats_csv,
 )
 from .synth import SynthConfig, generate, write_synth_files
 
@@ -171,8 +172,8 @@ def _worker_count(text: str) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     network, report = build_reciprocal_network(iter_mention_file(args.mentions))
     _write_output(
-        args, lambda fh: write_network_file(network, fh), "ingest",
-        {"mentions": str(args.mentions)}, [Path(args.mentions)],
+        args, "ingest", ("mentions",), (args.mentions,),
+        {args.out: lambda fh: write_network_file(network, fh)},
     )
     print(
         f"ingest: {report.records_in} records in, {report.directed_pairs} directed pairs, "
@@ -202,16 +203,9 @@ def cmd_seed(args: argparse.Namespace) -> int:
         )
     seeds = merge_seeds(gps_records.values(), gaz_records.values())
     _write_output(
-        args,
-        lambda fh: write_seeds_file(seeds, fh),
-        "seed",
-        {
-            "gps": _opt_str(args.gps),
-            "profiles": _opt_str(args.profiles),
-            "gazetteer": _opt_str(args.gazetteer),
-            "now": args.now,
-        },
-        [p for p in (args.gps, args.profiles, args.gazetteer) if p is not None],
+        args, "seed", ("gps", "profiles", "gazetteer", "now"),
+        (args.gps, args.profiles, args.gazetteer),
+        {args.out: lambda fh: write_seeds_file(seeds, fh)},
     )
     overlap = len(gps_records.keys() & gaz_records.keys())
     print(
@@ -236,23 +230,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
     state, stats = infer(
         network, seeds, cfg, threads=args.threads, check_descent=args.check_descent
     )
+    outputs = {args.out: lambda fh: write_estimates_file(state, fh)}
+    report = args.report or (args.out and Path(f"{args.out}.report.csv"))
+    if report:
+        outputs[report] = lambda fh: write_iteration_stats_csv(stats, fh)
     _write_output(
-        args,
-        lambda fh: write_estimates_file(state, fh),
-        "infer",
-        {
-            "network": str(args.network),
-            "seeds": str(args.seeds),
-            "gamma": args.gamma,
-            "iterations": args.iterations,
-        },
-        [args.network, args.seeds],
+        args, "infer", ("network", "seeds", "gamma", "iterations"),
+        (args.network, args.seeds), outputs,
     )
-    if args.report or args.out:
-        with atomic_write(args.report or Path(f"{args.out}.report.csv")) as fh:
-            fh.write("iteration,newly_located,located_total\n")
-            for row in stats:
-                fh.write(f"{row.iteration},{row.newly_located},{row.located_total}\n")
     print(
         f"infer: {stats[-1].located_total} users located after {len(stats)} iterations "
         f"({len(seeds)} seeds)",
@@ -318,42 +303,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
         accuracy = city_accuracy(estimates, truth, cities, args.min_pop)
         report = replace(report, city_accuracy=accuracy)
 
-    inputs = [args.estimates, args.truth]
-    if args.cities is not None:
-        inputs.append(args.cities)
+    inputs = [args.estimates, args.truth, args.cities]
+    outputs = {
+        args.out_dir / "report.csv": lambda fh: write_report_csv(report, fh),
+        args.out_dir / "per_iteration.csv": lambda fh: write_per_iteration_csv(report, fh),
+    }
     if gammas is not None:
         network = read_network_file(args.network)
         train = seed_points(read_seeds_file(args.train_seeds))
         rows = gamma_sweep(
             network, train, truth, gammas, args.iterations, threads=args.threads
         )
-        inputs.extend([args.network, args.train_seeds])
+        inputs += [args.network, args.train_seeds]
+        outputs[args.out_dir / "sweep.csv"] = lambda fh: write_sweep_csv(rows, fh)
 
-    digests = {str(p): _sha256(p) for p in inputs}  # before a report may replace one
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_write(out_dir / "report.csv") as fh:
-        write_report_csv(report, fh)
-    with atomic_write(out_dir / "per_iteration.csv") as fh:
-        write_per_iteration_csv(report, fh)
-    if gammas is not None:
-        with atomic_write(out_dir / "sweep.csv") as fh:
-            write_sweep_csv(rows, fh)
-
-    _write_manifest(
-        out_dir / "eval",
-        "eval",
-        {
-            "estimates": str(args.estimates),
-            "truth": str(args.truth),
-            "cities": _opt_str(args.cities),
-            "min_pop": args.min_pop,
-            "sweep": args.sweep,
-            "network": _opt_str(args.network),
-            "train_seeds": _opt_str(args.train_seeds),
-            "iterations": args.iterations,
-        },
-        digests,
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_output(
+        args, "eval",
+        ("estimates", "truth", "cities", "min_pop", "sweep", "network", "train_seeds", "iterations"),
+        inputs, outputs, args.out_dir / "eval",
     )
     print(
         f"eval: coverage {report.coverage:.4f}, median error "
@@ -364,22 +332,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _write_output(
-    args: argparse.Namespace, write: Callable[[TextIO], None],
-    command: str, parameters: dict, inputs: Iterable[Path],
+    args: argparse.Namespace, command: str, parameters: Iterable[str],
+    inputs: Iterable[str | Path | None], outputs: Mapping[Path | None, Callable[[TextIO], None]],
+    anchor: Path | None = None,
 ) -> None:
-    """Write a command's data to stdout under --stdout; otherwise atomically
-    to --out, followed by its manifest."""
-    if args.stdout:
-        write(sys.stdout)
-        return
-    digests = {str(p): _sha256(p) for p in inputs}  # before --out may replace one
-    with atomic_write(args.out) as fh:
-        write(fh)
-    _write_manifest(args.out, command, parameters, digests)
-
-
-def _opt_str(path: Path | None) -> str | None:
-    return None if path is None else str(path)
+    """The one path by which a command writes files. Hash the inputs (None is
+    an absent one) before any output can replace one; write each output
+    atomically, in order, the key None to stdout under --stdout; then, unless
+    under --stdout, the manifest at anchor (default --out), which records
+    each argument named in parameters."""
+    stdout = None in outputs
+    digests = {} if stdout else {str(p): _sha256(p) for p in inputs if p is not None}
+    for path, write in outputs.items():
+        if path is None:
+            write(sys.stdout)
+        else:
+            with atomic_write(path) as fh:
+                write(fh)
+    if not stdout:
+        values = {name: getattr(args, name) for name in parameters}
+        _write_manifest(anchor or args.out, command, values, digests)
 
 
 def _sha256(path: Path) -> str:
@@ -400,7 +372,7 @@ def _write_manifest(
         "tool": "tvgeo",
         "version": __version__,
         "command": command,
-        "parameters": _jsonable(parameters),
+        "parameters": {key: _jsonable(value) for key, value in parameters.items()},
         "inputs": digests,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -411,12 +383,14 @@ def _write_manifest(
     return path
 
 
-def _jsonable(parameters: dict) -> dict:
-    """JSON has no NaN or infinity: a non-finite float is written as its repr."""
-    return {
-        key: repr(value) if isinstance(value, float) and not math.isfinite(value) else value
-        for key, value in parameters.items()
-    }
+def _jsonable(value):
+    """A path is written as its text. JSON has no NaN or infinity: a
+    non-finite float is written as its repr."""
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
 
 
 if __name__ == "__main__":

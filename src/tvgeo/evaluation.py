@@ -5,7 +5,7 @@ nearest-city accuracy."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import fmean, median as _scalar_median
 from typing import Iterator, Mapping, Sequence, TextIO
@@ -111,15 +111,18 @@ def evaluate(estimates: EstimateState, test: Mapping[int, GeoPoint]) -> EvalRepo
     rows: list[IterationRow] = []
     if errors_by_iteration:
         cumulative: list[float] = []
+        # The first round has errors; a round without any keeps the last median.
         for k in range(min(errors_by_iteration), max(errors_by_iteration) + 1):
             new = errors_by_iteration.get(k, [])
-            cumulative.extend(new)
+            if new:
+                cumulative.extend(new)
+                cumulative_median = float(_scalar_median(cumulative))
             rows.append(
                 IterationRow(
                     iteration=k,
                     located=len(cumulative),
                     newly_located=len(new),
-                    median_error_km=float(_scalar_median(cumulative)) if cumulative else math.nan,
+                    median_error_km=cumulative_median,
                     median_error_new_km=float(_scalar_median(new)) if new else math.nan,
                 )
             )
@@ -197,36 +200,17 @@ def _nearest_city(
 # --- report files -------------------------------------------------------------
 
 
-def _csv_cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(value)
-
-
 def write_report_csv(report: EvalReport, fh: TextIO) -> None:
-    fh.write("coverage,median_error_km,mean_error_km,city_accuracy\n")
-    fh.write(
-        f"{report.coverage!r},{report.median_error_km!r},"
-        f"{report.mean_error_km!r},{_csv_cell(report.city_accuracy)}\n"
-    )
+    columns = ("coverage", "median_error_km", "mean_error_km", "city_accuracy")
+    _tsv.write_csv(fh, columns, [report])
 
 
 def write_per_iteration_csv(report: EvalReport, fh: TextIO) -> None:
-    fh.write("iteration,located,newly_located,median_error_km,median_error_new_km\n")
-    for row in report.per_iteration:
-        fh.write(
-            f"{row.iteration},{row.located},{row.newly_located},"
-            f"{row.median_error_km!r},{row.median_error_new_km!r}\n"
-        )
+    _tsv.write_csv(fh, [f.name for f in fields(IterationRow)], report.per_iteration)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], fh: TextIO) -> None:
-    fh.write("gamma_km,coverage,median_error_km,mean_error_km\n")
-    for row in rows:
-        fh.write(
-            f"{row.gamma_km!r},{row.coverage!r},"
-            f"{row.median_error_km!r},{row.mean_error_km!r}\n"
-        )
+    _tsv.write_csv(fh, [f.name for f in fields(SweepRow)], rows)
 
 
 def read_truth_file(path: str | Path) -> dict[int, GeoPoint]:

@@ -33,7 +33,7 @@ moved within the median tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from statistics import median
@@ -88,6 +88,10 @@ class IterationStats:
     iteration: int
     newly_located: int
     located_total: int
+
+
+def write_iteration_stats_csv(stats: Iterable[IterationStats], fh: TextIO) -> None:
+    _tsv.write_csv(fh, [f.name for f in fields(IterationStats)], stats)
 
 
 class DescentViolation(RuntimeError):

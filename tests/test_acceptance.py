@@ -66,6 +66,7 @@ GOLDEN_CITY_ACCURACY = 0.9892193938025625
 SERIAL_WORK = {
     "solver.geodesic_distance": 589_653,
     "solver.node_update": 89_435,
+    "solver._located_neighbors": 91_435,  # updates plus seed dispersions
     "robust_stats.geodesic_distance": 78_848,
     "robust_stats._unproject": 811_229,  # Weiszfeld steps
     "robust_stats._medoid": 5_086,
@@ -290,6 +291,7 @@ def counted_work(counts):
     with pytest.MonkeyPatch.context() as patch:
         counting(solver, "geodesic_distance")
         counting(solver, "node_update")
+        counting(solver, "_located_neighbors")
         counting(robust_stats, "geodesic_distance")
         counting(robust_stats, "_unproject")
         counting(robust_stats, "_medoid", points=True)

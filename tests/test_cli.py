@@ -672,6 +672,151 @@ class TestEvalCommand:
         assert body.endswith(",1.0")
 
 
+def _manifest(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _failing_writer(*args):
+    raise OSError("no space left on device")
+
+
+class TestManifests:
+    """Each command's manifest records each argument under its flag's name,
+    and it is the last file a run writes."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        p = GeoPoint(40.0, -3.0)
+        gps_rows = "".join(f"1\t{p.lat!r}\t{p.lon!r}\t{1000 + 3600 * k}\n" for k in range(3))
+        return {
+            "mentions": write(tmp_path / "mentions.tsv", "1\t2\t5\n2\t1\t2\n"),
+            "gps": write(tmp_path / "gps.tsv", gps_rows),
+            "network": write(tmp_path / "net.tsv", "1\t2\t1\n2\t3\t1\n"),
+            "seeds": write(tmp_path / "seeds.tsv", seeds_line(1, p)),
+            "estimates": write(tmp_path / "est.tsv", f"2\t{p.lat!r}\t{p.lon!r}\t0.5\tinferred\t1\n"),
+            "truth": write(tmp_path / "truth.tsv", f"2\t{p.lat!r}\t{p.lon!r}\n"),
+            "cities": write(tmp_path / "cities.tsv", "Madrid\t40.42\t-3.7\t3200000\n"),
+        }
+
+    def test_ingest_parameters(self, tmp_path, files):
+        out = tmp_path / "out.tsv"
+        assert main(["ingest", str(files["mentions"]), "--out", str(out)]) == 0
+        assert _manifest(tmp_path / "out.tsv.manifest.json")["parameters"] == {
+            "mentions": str(files["mentions"]),
+        }
+
+    def test_seed_parameters(self, tmp_path, files):
+        out = tmp_path / "out.tsv"
+        assert main(["seed", "--gps", str(files["gps"]), "--now", "nan", "--out", str(out)]) == 0
+        assert _manifest(tmp_path / "out.tsv.manifest.json")["parameters"] == {
+            "gps": str(files["gps"]),
+            "profiles": None,
+            "gazetteer": None,
+            "now": "nan",
+        }
+
+    def test_infer_parameters(self, tmp_path, files):
+        out = tmp_path / "out.tsv"
+        args = ["infer", str(files["network"]), str(files["seeds"]), "--out", str(out)]
+        assert main(args + ["--gamma", "25.5", "--threads", "1", "--check-descent"]) == 0
+        assert _manifest(tmp_path / "out.tsv.manifest.json")["parameters"] == {
+            "network": str(files["network"]),
+            "seeds": str(files["seeds"]),
+            "gamma": 25.5,
+            "iterations": solver.DEFAULT_ITERATIONS,
+        }
+
+    def test_synth_parameters(self, tmp_path):
+        out_dir = tmp_path / "bench"
+        code = main(
+            [
+                "synth",
+                "--out-dir", str(out_dir),
+                "--num-cities", "2",
+                "--users-per-city", "10",
+                "--city-radius", "10",
+                "--mean-degree", "3",
+                "--seed-fraction", "0.5",
+                "--rng-seed", "7",
+            ]
+        )
+        assert code == 0
+        assert _manifest(out_dir / "synth.manifest.json")["parameters"] == {
+            "num_cities": 2,
+            "users_per_city": 10,
+            "city_radius_km": 10.0,
+            "intra_edge_mean_degree": 3.0,
+            "inter_edge_fraction": 0.0,
+            "seed_fraction": 0.5,
+            "rng_seed": 7,
+        }
+
+    def test_eval_parameters(self, tmp_path, files):
+        out_dir = tmp_path / "report"
+        assert main(["eval", str(files["estimates"]), str(files["truth"]), "--out-dir", str(out_dir)]) == 0
+        manifest = _manifest(out_dir / "eval.manifest.json")
+        assert manifest["parameters"] == {
+            "estimates": str(files["estimates"]),
+            "truth": str(files["truth"]),
+            "cities": None,
+            "min_pop": 5000,
+            "sweep": None,
+            "network": None,
+            "train_seeds": None,
+            "iterations": solver.DEFAULT_ITERATIONS,
+        }
+        assert set(manifest["inputs"]) == {str(files["estimates"]), str(files["truth"])}
+
+    def test_eval_parameters_with_cities_and_sweep(self, tmp_path, files):
+        out_dir = tmp_path / "report"
+        code = main(
+            [
+                "eval", str(files["estimates"]), str(files["truth"]),
+                "--out-dir", str(out_dir),
+                "--cities", str(files["cities"]),
+                "--min-pop", "100",
+                "--sweep", "10,100,inf",
+                "--network", str(files["network"]),
+                "--train-seeds", str(files["seeds"]),
+                "--iterations", "2",
+                "--threads", "1",
+            ]
+        )
+        assert code == 0
+        manifest = _manifest(out_dir / "eval.manifest.json")
+        assert manifest["parameters"] == {
+            "estimates": str(files["estimates"]),
+            "truth": str(files["truth"]),
+            "cities": str(files["cities"]),
+            "min_pop": 100,
+            "sweep": "10,100,inf",
+            "network": str(files["network"]),
+            "train_seeds": str(files["seeds"]),
+            "iterations": 2,
+        }
+        assert set(manifest["inputs"]) == {
+            str(files[name]) for name in ("estimates", "truth", "cities", "network", "seeds")
+        }
+
+    def test_a_failed_infer_report_leaves_no_manifest(self, tmp_path, files, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "write_iteration_stats_csv", _failing_writer)
+        out = tmp_path / "est.tsv"
+        args = ["infer", str(files["network"]), str(files["seeds"]), "--out", str(out)]
+        assert main(args + ["--threads", "1"]) == 1
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert not (tmp_path / "est.tsv.manifest.json").exists()
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_a_failed_eval_report_leaves_no_manifest(self, tmp_path, files, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "write_per_iteration_csv", _failing_writer)
+        out_dir = tmp_path / "report"
+        code = main(["eval", str(files["estimates"]), str(files["truth"]), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert not (out_dir / "eval.manifest.json").exists()
+        assert not [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")]
+
+
 class TestArguments:
     @pytest.mark.parametrize("command", ["ingest", "seed", "infer", "synth", "eval"])
     def test_help_exits_zero(self, command, capsys):

@@ -1,9 +1,11 @@
 import io
 import math
 import re
+from statistics import median
 
 import pytest
 
+from tvgeo import evaluation
 from tvgeo.evaluation import (
     CityEntry,
     CityTable,
@@ -109,6 +111,28 @@ class TestEvaluate:
         middle = report.per_iteration[1]
         assert middle.newly_located == 0
         assert math.isnan(middle.median_error_new_km)
+
+    def test_a_gap_of_rounds_takes_no_median(self, monkeypatch):
+        """A round with no newly located test user keeps the cumulative
+        median of the round before it, so a 10,000-round gap costs no sort."""
+        calls = []
+
+        def counting_median(values):
+            calls.append(len(values))
+            return median(values)
+
+        monkeypatch.setattr(evaluation, "_scalar_median", counting_median)
+        t = {u: HOME for u in range(4)}
+        state = state_with(
+            [located_at(u, destination(HOME, 0.0, u + 1.0)) for u in range(3)]
+            + [located_at(3, destination(HOME, 0.0, 10.0), iteration=10_000)]
+        )
+        report = evaluate(state, t)
+        assert len(calls) <= 5
+        first, *gap, last = report.per_iteration
+        assert len(gap) == 9_998
+        assert {(r.located, r.median_error_km) for r in gap} == {(3, first.median_error_km)}
+        assert abs(last.median_error_km - 2.5) < 1e-6
 
     def test_order_invariance(self):
         t1 = {1: HOME, 2: destination(HOME, 10.0, 5.0)}

@@ -1,6 +1,7 @@
 """The package's public surface: `import tvgeo`, its `__all__`, the import
-block that the README's "Library surface" section shows, and which module
-owns the WGS84 distance bracket."""
+block that the README's "Library surface" section shows, which module
+owns the WGS84 distance bracket, and the one path by which the CLI writes
+files."""
 
 import ast
 import re
@@ -45,3 +46,37 @@ def test_only_geodesy_reads_the_bracket_constants():
                 continue
             readers += [(path.name, name) for name in sorted(names & BRACKET_CONSTANTS)]
     assert readers == []
+
+
+def _references(tree, name):
+    """The innermost enclosing function (None at module level) of each
+    reference to name, as a bare name or as an attribute."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == name or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                yield scope
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            yield from visit(child, inner)
+
+    return visit(tree, None)
+
+
+def test_files_are_written_only_through_the_output_path():
+    """A CLI run writes each file through cli._write_output, which hashes the
+    inputs first and writes the manifest last; synth's files go through
+    write_synth_files, and cmd_synth writes its manifest itself."""
+    allowed = {
+        "atomic_write": {
+            ("cli", "_write_output"), ("cli", "_write_manifest"), ("synth", "write_synth_files"),
+        },
+        "_sha256": {("cli", "_write_output")},
+        "_write_manifest": {("cli", "_write_output"), ("cli", "cmd_synth")},
+    }
+    found = {name: set() for name in allowed}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in allowed:
+            found[name] |= {(path.stem, scope) for scope in _references(tree, name)}
+    assert found == allowed
