@@ -1,8 +1,10 @@
-"""Shared helpers for the tab-separated file formats, the one CSV report
-writer, and the atomic writer every output file goes through.
+"""Shared helpers for the tab-separated file formats: the one TSV writer
+(write_tsv), the one CSV report writer and the atomic writer every output
+file goes through.
 
-Files are UTF-8; `#`-prefixed lines are comments. Writers stamp a
-`# format: v1` header and readers reject files declaring any other version.
+Files are UTF-8; `#`-prefixed lines are comments. write_tsv stamps a
+`# format: v1` header and writes each value as str does, a float in its
+shortest round-trip form; readers reject files declaring any other version.
 
 Two readers share one row loop (_rows). Rows yields the fields of each data
 row of any file. Columns reads a fixed-width file about _CHUNK_BYTES of
@@ -16,10 +18,10 @@ from __future__ import annotations
 import os
 import re
 from contextlib import contextmanager, suppress
-from itertools import chain, dropwhile
+from itertools import chain, dropwhile, starmap
 from operator import attrgetter, length_hint
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 FORMAT_VERSION = 1
 
@@ -36,6 +38,20 @@ POINT_COLUMNS = (("latitude", float), ("longitude", float))
 def write_header(fh: TextIO, columns: Sequence[str]) -> None:
     fh.write(f"# format: v{FORMAT_VERSION}\n")
     fh.write("# " + "\t".join(columns) + "\n")
+
+
+def write_tsv(fh: TextIO, columns: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Write the format and column headers, then each row's values,
+    tab-separated as str formats them."""
+    write_header(fh, columns)  # a module global: a wrapper patched onto it sees every file
+    template = "\t".join(["{}"] * len(columns)) + "\n"
+    fh.writelines(starmap(template.format, rows))
+
+
+def sorted_items(mapping: Mapping[Any, Any]) -> Iterator[tuple[Any, Any]]:
+    """mapping's (key, value) pairs in key order, made one at a time."""
+    keys = sorted(mapping)
+    return zip(keys, map(mapping.__getitem__, keys))
 
 
 def write_csv(fh: TextIO, columns: Sequence[str], rows: Iterable[Any]) -> None:

@@ -139,8 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sweep",
         help="comma-separated gamma values (km); reruns the solver per value",
     )
-    p.add_argument("--network", type=Path, help="network TSV (required with --sweep)")
-    p.add_argument("--train-seeds", type=Path, help="training seeds TSV (required with --sweep)")
+    p.add_argument("--network", type=Path, help="network TSV (--sweep only; required)")
+    p.add_argument("--train-seeds", type=Path, help="training seeds TSV (--sweep only; required)")
     p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS, help="solver iterations for --sweep runs")
     _add_threads(p)
     p.set_defaults(func=cmd_eval)
@@ -272,7 +272,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     gammas = None
-    if args.sweep is not None:
+    if args.sweep is None:
+        if args.network is not None or args.train_seeds is not None:
+            raise ValueError("--network and --train-seeds are read only with --sweep")
+    else:
         if args.network is None or args.train_seeds is None:
             raise ValueError("--sweep requires --network and --train-seeds")
         try:

@@ -90,9 +90,8 @@ class CityTable:
         return cls(tuple(entries))
 
     def write_tsv(self, fh: TextIO) -> None:
-        _tsv.write_header(fh, ("name", "lat", "lon", "population"))
-        for e in self.entries:
-            fh.write(f"{e.name}\t{e.point.lat!r}\t{e.point.lon!r}\t{e.population}\n")
+        rows = ((e.name, e.point.lat, e.point.lon, e.population) for e in self.entries)
+        _tsv.write_tsv(fh, ("name", "lat", "lon", "population"), rows)
 
 
 def evaluate(estimates: EstimateState, test: Mapping[int, GeoPoint]) -> EvalReport:

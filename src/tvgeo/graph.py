@@ -275,8 +275,6 @@ def total_variation(
 # Mention file row:  src_id <TAB> dst_id <TAB> count
 # Network file row:  u <TAB> v <TAB> weight   (written u < v, read either way)
 
-NETWORK_COLUMNS = ("u", "v", "weight")
-
 
 def iter_mention_file(path: str | Path) -> Iterator[tuple[int, int, int]]:
     """Parse a mention TSV; parse failures raise ValueError with path:line."""
@@ -285,9 +283,7 @@ def iter_mention_file(path: str | Path) -> Iterator[tuple[int, int, int]]:
 
 
 def write_network_file(network: SocialNetwork, fh: TextIO) -> None:
-    _tsv.write_header(fh, NETWORK_COLUMNS)
-    for edge in network.edges():
-        fh.write(f"{edge.u}\t{edge.v}\t{edge.weight}\n")
+    _tsv.write_tsv(fh, ("u", "v", "weight"), network.edges())
 
 
 def read_network_file(path: str | Path) -> SocialNetwork:

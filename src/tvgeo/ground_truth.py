@@ -260,8 +260,6 @@ def seed_points(seeds: Mapping[int, GroundTruthRecord]) -> dict[int, GeoPoint]:
 #                  everything after the second tab, spaces and tabs included)
 # Seeds:           user_id <TAB> lat <TAB> lon <TAB> source <TAB> spread_km
 
-SEED_COLUMNS = ("user_id", "lat", "lon", "source", "spread_km")
-
 
 def read_gps_events_file(path: str | Path) -> list[GpsEvent]:
     """The events in file order. A user's events share one int object for
@@ -291,10 +289,11 @@ def read_profile_claims_file(path: str | Path) -> list[ProfileClaim]:
 
 
 def write_seeds_file(seeds: Mapping[int, GroundTruthRecord], fh: TextIO) -> None:
-    _tsv.write_header(fh, SEED_COLUMNS)
-    for user in sorted(seeds):
-        r = seeds[user]
-        fh.write(f"{user}\t{r.home.lat!r}\t{r.home.lon!r}\t{r.source}\t{r.spread_km!r}\n")
+    rows = (
+        (user, r.home.lat, r.home.lon, r.source, r.spread_km)
+        for user, r in _tsv.sorted_items(seeds)
+    )
+    _tsv.write_tsv(fh, ("user_id", "lat", "lon", "source", "spread_km"), rows)
 
 
 def _seed_records(

@@ -266,24 +266,14 @@ def _add_seed_dispersions(
 # Estimate row: user_id <TAB> lat <TAB> lon <TAB> dispersion_km <TAB> source
 #               <TAB> first_located_iteration
 
-ESTIMATE_COLUMNS = (
-    "user_id",
-    "lat",
-    "lon",
-    "dispersion_km",
-    "source",
-    "first_located_iteration",
-)
-
 
 def write_estimates_file(state: EstimateState, fh: TextIO) -> None:
-    _tsv.write_header(fh, ESTIMATE_COLUMNS)
-    for user in sorted(state.located):
-        e = state.located[user]
-        fh.write(
-            f"{user}\t{e.point.lat!r}\t{e.point.lon!r}\t{e.dispersion_km!r}"
-            f"\t{e.source}\t{e.first_located_iteration}\n"
-        )
+    columns = ("user_id", "lat", "lon", "dispersion_km", "source", "first_located_iteration")
+    rows = (
+        (user, e.point.lat, e.point.lon, e.dispersion_km, e.source, e.first_located_iteration)
+        for user, e in _tsv.sorted_items(state.located)
+    )
+    _tsv.write_tsv(fh, columns, rows)
 
 
 def read_estimates_file(path: str | Path) -> EstimateState:

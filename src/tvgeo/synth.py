@@ -222,45 +222,35 @@ def _geometric_weight(rng: random.Random) -> int:
 
 # --- file output --------------------------------------------------------------
 
-TRUTH_COLUMNS = ("user_id", "lat", "lon")
-ASSIGNMENT_COLUMNS = ("user_id", "city_index")
-
 
 def write_truth_file(truth: Mapping[int, GeoPoint], fh: TextIO) -> None:
-    _tsv.write_header(fh, TRUTH_COLUMNS)
-    for user in sorted(truth):
-        p = truth[user]
-        fh.write(f"{user}\t{p.lat!r}\t{p.lon!r}\n")
+    rows = ((user, p.lat, p.lon) for user, p in _tsv.sorted_items(truth))
+    _tsv.write_tsv(fh, ("user_id", "lat", "lon"), rows)
 
 
 def write_assignments_file(city_of: Mapping[int, int], fh: TextIO) -> None:
-    _tsv.write_header(fh, ASSIGNMENT_COLUMNS)
-    for user in sorted(city_of):
-        fh.write(f"{user}\t{city_of[user]}\n")
+    _tsv.write_tsv(fh, ("user_id", "city_index"), _tsv.sorted_items(city_of))
 
 
 def write_synth_files(result: SynthResult, out_dir: str | Path) -> dict[str, Path]:
     """Write network/truth/seeds/cities/assignments TSVs; returns the paths."""
+    # Imported here, at call time, so that a wrapper patched onto
+    # graph.write_network_file or ground_truth.write_seeds_file (as the
+    # benchmark's tracer does) writes synth's files too.
     from .graph import write_network_file
     from .ground_truth import write_seeds_file
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "network": out / "network.tsv",
-        "truth": out / "truth.tsv",
-        "seeds": out / "seeds.tsv",
-        "cities": out / "cities.tsv",
-        "assignments": out / "assignments.tsv",
+    writers = {
+        "network": lambda fh: write_network_file(result.network, fh),
+        "truth": lambda fh: write_truth_file(result.truth, fh),
+        "seeds": lambda fh: write_seeds_file(result.seeds, fh),
+        "cities": result.cities.write_tsv,
+        "assignments": lambda fh: write_assignments_file(result.city_of, fh),
     }
-    with _tsv.atomic_write(paths["network"]) as fh:
-        write_network_file(result.network, fh)
-    with _tsv.atomic_write(paths["truth"]) as fh:
-        write_truth_file(result.truth, fh)
-    with _tsv.atomic_write(paths["seeds"]) as fh:
-        write_seeds_file(result.seeds, fh)
-    with _tsv.atomic_write(paths["cities"]) as fh:
-        result.cities.write_tsv(fh)
-    with _tsv.atomic_write(paths["assignments"]) as fh:
-        write_assignments_file(result.city_of, fh)
+    paths = {name: out / f"{name}.tsv" for name in writers}
+    for name, write in writers.items():
+        with _tsv.atomic_write(paths[name]) as fh:
+            write(fh)
     return paths

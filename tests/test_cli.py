@@ -601,6 +601,19 @@ class TestEvalCommand:
         assert "--sweep requires" in capsys.readouterr().err
         assert not (tmp_path / "r" / "report.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--network", "--train-seeds"])
+    def test_sweep_inputs_without_sweep_fail_before_any_input_is_read(
+        self, tmp_path, capsys, flag
+    ):
+        absent = str(tmp_path / "absent.tsv")
+        out_dir = tmp_path / "r"
+        code = main(["eval", absent, absent, "--out-dir", str(out_dir), flag, absent])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --network and --train-seeds are read only with --sweep\n"
+        )
+        assert not out_dir.exists()
+
     def test_bad_sweep_value_names_the_flag(self, tmp_path, exact_fixture, capsys):
         estimates, truth = exact_fixture
         out_dir = tmp_path / "r"

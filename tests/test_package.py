@@ -1,7 +1,7 @@
 """The package's public surface: `import tvgeo`, its `__all__`, the import
 block that the README's "Library surface" section shows, which module
-owns the WGS84 distance bracket, and the one path by which the CLI writes
-files."""
+owns the WGS84 distance bracket, the one path by which the CLI writes
+files, and the one writer of TSV rows."""
 
 import ast
 import re
@@ -80,3 +80,13 @@ def test_files_are_written_only_through_the_output_path():
         for name in allowed:
             found[name] |= {(path.stem, scope) for scope in _references(tree, name)}
     assert found == allowed
+
+
+def test_tsv_rows_are_written_only_through_write_tsv():
+    """Every TSV file is written by _tsv.write_tsv, which formats its rows:
+    no other function writes a TSV header and then rows of its own."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.stem, scope) for scope in _references(tree, "write_header")}
+    assert found == {("_tsv", "write_tsv")}

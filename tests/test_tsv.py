@@ -1,3 +1,5 @@
+import io
+import math
 import random
 from typing import Callable, NamedTuple
 
@@ -6,15 +8,28 @@ import pytest
 import oracles
 from tvgeo import _tsv
 from tvgeo._tsv import atomic_write
-from tvgeo.evaluation import CityTable, read_truth_file
-from tvgeo.graph import iter_mention_file, read_network_file
+from tvgeo.evaluation import CityEntry, CityTable, read_truth_file
+from tvgeo.geodesy import GeoPoint
+from tvgeo.graph import SocialNetwork, iter_mention_file, read_network_file, write_network_file
 from tvgeo.ground_truth import (
+    SOURCE_GAZETTEER,
+    SOURCE_GPS,
     Gazetteer,
+    GroundTruthRecord,
     read_gps_events_file,
     read_profile_claims_file,
     read_seeds_file,
+    write_seeds_file,
 )
-from tvgeo.solver import read_estimates_file
+from tvgeo.solver import (
+    SOURCE_INFERRED,
+    SOURCE_SEED,
+    EstimateState,
+    LocationEstimate,
+    read_estimates_file,
+    write_estimates_file,
+)
+from tvgeo.synth import write_assignments_file, write_truth_file
 
 OUT_OF_RANGE = "latitude 91.0 outside [-90, 90]"
 
@@ -151,6 +166,109 @@ def test_writer_raising_midway_leaves_the_previous_file(tmp_path):
             raise OSError("disk full")
     assert path.read_bytes() == b"previous\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+# --- every writer's text on edge values ----------------------------------------
+#
+# Recorded before the writers shared _tsv.write_tsv. A float is written in
+# its shortest round-trip form (17 significant digits where it needs them,
+# -0.0, 5e-324 and nan as such), the poles and longitude -180 as 90.0, -90.0
+# and -180.0; an id past 64 bits and a name with spaces are written as they
+# are. Each file the package reads back gives the same text when its records
+# are written again.
+
+BIG = 2**70  # 1180591620717411303424
+POLE_N = GeoPoint(90.0, -180.0)
+POLE_S = GeoPoint(-90.0, -179.99999999999997)
+ZERO = GeoPoint(-0.0, 151.20929999999998)
+TINY = GeoPoint(5e-324, -73.935242)
+ODD = GeoPoint(0.30000000000000004, 100.5)
+HEADER = "# format: v1\n# "
+
+
+def _estimates():
+    return EstimateState(
+        {
+            BIG: LocationEstimate(BIG, ZERO, 1.0000000000000002, SOURCE_SEED, 0),
+            1: LocationEstimate(1, POLE_S, math.nan, SOURCE_INFERRED, 3),
+            2: LocationEstimate(2, TINY, 5e-324, SOURCE_INFERRED, 1),
+        },
+        3,
+    )
+
+
+WRITERS = {
+    "network": (
+        lambda fh: write_network_file(SocialNetwork({(BIG, 1): 3, (1, 2): 1, (2, BIG): BIG}), fh),
+        f"{HEADER}u\tv\tweight\n1\t2\t1\n1\t{BIG}\t3\n2\t{BIG}\t{BIG}\n",
+        lambda path, fh: write_network_file(read_network_file(path), fh),
+    ),
+    "seeds": (
+        lambda fh: write_seeds_file(
+            {
+                BIG: GroundTruthRecord(BIG, ZERO, SOURCE_GPS, 5e-324),
+                1: GroundTruthRecord(1, ODD, SOURCE_GAZETTEER, 0.30000000000000004),
+                2: GroundTruthRecord(2, POLE_S, SOURCE_GPS, 0.0),
+            },
+            fh,
+        ),
+        f"{HEADER}user_id\tlat\tlon\tsource\tspread_km\n"
+        "1\t0.30000000000000004\t100.5\tgazetteer\t0.30000000000000004\n"
+        "2\t-90.0\t-179.99999999999997\tgps\t0.0\n"
+        f"{BIG}\t-0.0\t151.20929999999998\tgps\t5e-324\n",
+        lambda path, fh: write_seeds_file(read_seeds_file(path), fh),
+    ),
+    "estimates": (
+        lambda fh: write_estimates_file(_estimates(), fh),
+        f"{HEADER}user_id\tlat\tlon\tdispersion_km\tsource\tfirst_located_iteration\n"
+        "1\t-90.0\t-179.99999999999997\tnan\tinferred\t3\n"
+        "2\t5e-324\t-73.935242\t5e-324\tinferred\t1\n"
+        f"{BIG}\t-0.0\t151.20929999999998\t1.0000000000000002\tseed\t0\n",
+        lambda path, fh: write_estimates_file(read_estimates_file(path), fh),
+    ),
+    "cities": (
+        CityTable(
+            (
+                CityEntry("Rio de Janeiro", ODD, BIG),
+                CityEntry("  Le Puy  en Velay", POLE_N, 0),
+                CityEntry("Zero", ZERO, 17),
+            )
+        ).write_tsv,
+        f"{HEADER}name\tlat\tlon\tpopulation\n"
+        f"Rio de Janeiro\t0.30000000000000004\t100.5\t{BIG}\n"
+        "  Le Puy  en Velay\t90.0\t-180.0\t0\n"
+        "Zero\t-0.0\t151.20929999999998\t17\n",
+        lambda path, fh: CityTable.from_tsv(path).write_tsv(fh),
+    ),
+    "truth": (
+        lambda fh: write_truth_file({BIG: POLE_N, 7: ZERO, 3: POLE_S, 5: TINY}, fh),
+        f"{HEADER}user_id\tlat\tlon\n"
+        "3\t-90.0\t-179.99999999999997\n"
+        "5\t5e-324\t-73.935242\n"
+        "7\t-0.0\t151.20929999999998\n"
+        f"{BIG}\t90.0\t-180.0\n",
+        lambda path, fh: write_truth_file(read_truth_file(path), fh),
+    ),
+    "assignments": (
+        lambda fh: write_assignments_file({BIG: 0, 3: 12, 1: BIG}, fh),
+        f"{HEADER}user_id\tcity_index\n1\t{BIG}\n3\t12\n{BIG}\t0\n",
+        None,  # nothing in the package reads assignments back
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_text_is_pinned_and_reads_back(tmp_path, name):
+    write, expected, rewrite = WRITERS[name]
+    buffer = io.StringIO()
+    write(buffer)
+    assert buffer.getvalue() == expected
+    if rewrite is not None:
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(expected, encoding="utf-8")
+        again = io.StringIO()
+        rewrite(path, again)  # the reader's records, written again
+        assert again.getvalue() == expected
 
 
 # --- the chunked readers against the row-loop oracles -------------------------
