@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("seeds", type=Path)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_KM, help="max ego dispersion in km (inf allowed)")
     p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
-    _add_threads(p)
+    _add_threads(p, _workers.usable_cpus())
     p.add_argument("--report", type=Path, help="per-iteration counts CSV (default: OUT.report.csv)")
     p.add_argument(
         "--check-descent",
@@ -141,8 +141,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--network", type=Path, help="network TSV (--sweep only; required)")
     p.add_argument("--train-seeds", type=Path, help="training seeds TSV (--sweep only; required)")
-    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS, help="solver iterations for --sweep runs")
-    _add_threads(p)
+    p.add_argument(
+        "--iterations", type=int,
+        help=f"solver iterations (--sweep only; default {DEFAULT_ITERATIONS})",
+    )
+    _add_threads(p, None)  # the sweep's default: the usable CPUs
     p.set_defaults(func=cmd_eval)
 
     return parser
@@ -154,11 +157,11 @@ def _add_output(p: argparse.ArgumentParser, what: str) -> None:
     out.add_argument("--stdout", action="store_true", help=f"write the {what} to stdout")
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
+def _add_threads(p: argparse.ArgumentParser, default: int | None) -> None:
     p.add_argument(
         "--threads",
         type=_worker_count,
-        default=_workers.usable_cpus(),
+        default=default,
         help="worker processes, at least 1; output is byte-identical for any value",
     )
 
@@ -275,9 +278,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.sweep is None:
         if args.network is not None or args.train_seeds is not None:
             raise ValueError("--network and --train-seeds are read only with --sweep")
+        if args.iterations is not None or args.threads is not None:
+            raise ValueError("--iterations and --threads are read only with --sweep")
     else:
         if args.network is None or args.train_seeds is None:
             raise ValueError("--sweep requires --network and --train-seeds")
+        if args.iterations is None:
+            args.iterations = DEFAULT_ITERATIONS
+        if args.threads is None:
+            args.threads = _workers.usable_cpus()
         try:
             gammas = [float(g) for g in args.sweep.split(",") if g.strip()]
         except ValueError:

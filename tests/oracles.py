@@ -15,7 +15,8 @@ sorted (neighbor, weight) tuples per node. The row_* readers are the
 package's file readers as they were before _tsv.Columns: one _tsv.Rows loop
 each, parsing every row with the parse_* helpers and parse_point. They are
 the reference that the chunked readers must match in values and in error
-text.
+text. infer_every_candidate is the solver's round loop before active-set
+rounds: every non-seed node proposes in every round.
 """
 
 from __future__ import annotations
@@ -385,3 +386,42 @@ def row_read_estimates_file(path):
             located[user] = LocationEstimate(user, point, disp, source, first)
             max_iteration = max(max_iteration, first)
     return EstimateState(located, max_iteration)
+
+
+# --- every-candidate solver ---------------------------------------------------
+
+
+def infer_every_candidate(network, seeds, cfg, *, threads=1, check_descent=False):
+    """solver.infer with every non-seed node proposing in every round, as it
+    was before only the woken nodes proposed. Returns the final state and one
+    (iteration, newly_located, located_total) triple per round."""
+    from tvgeo import _workers, solver
+    from tvgeo.solver import SOURCE_INFERRED, SOURCE_SEED, EstimateState, LocationEstimate
+
+    located = {
+        user: LocationEstimate(user, point, math.nan, SOURCE_SEED, 0)
+        for user, point in sorted(seeds.items())
+    }
+    candidates = [u for u in network.nodes() if u not in seeds]
+
+    reports = []
+    for k in range(1, cfg.iterations + 1):
+        snapshot = EstimateState(located, k - 1)
+        context = (snapshot, network, cfg, check_descent)
+        results = _workers.fork_map(solver.node_update, candidates, context, threads)
+
+        newly = 0
+        for user, update in zip(candidates, results):
+            if update is None:
+                continue
+            previous = located.get(user)
+            if previous is None:
+                first = k
+                newly += 1
+            else:
+                first = previous.first_located_iteration
+            located[user] = LocationEstimate(user, *update, SOURCE_INFERRED, first)
+        reports.append((k, newly, len(located)))
+
+    solver._add_seed_dispersions(located, seeds, network)
+    return EstimateState(located, cfg.iterations), reports

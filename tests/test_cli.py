@@ -261,7 +261,7 @@ class TestInfer:
         assert middle.point == p
         assert middle.first_located_iteration == 1
         report = (tmp_path / "est.tsv.report.csv").read_text(encoding="utf-8")
-        assert report.splitlines()[0] == "iteration,newly_located,located_total"
+        assert report.splitlines()[0] == "iteration,newly_located,located_total,proposed"
 
     def test_gamma_inf_reproduces_label_propagation(self, tmp_path):
         p = GeoPoint(40.0, -3.0)
@@ -309,19 +309,21 @@ class TestInfer:
     def test_descent_violation_is_an_error_not_a_traceback(
         self, tmp_path, monkeypatch, capsys
     ):
-        # Round 2 re-proposes every node's own point, so the candidate's
-        # variation (0) equals the previous one; a negative median tolerance,
-        # set before the pool forks, makes the allowed slack negative and the
-        # workers' guard fail.
+        # Round 1 locates every leaf at the seed's point. Each leaf is also
+        # tied to the next, so round 2 wakes every leaf, and each re-proposes
+        # its own point: the candidate's variation (0) equals the previous
+        # one. A negative median tolerance, set before the pool forks, makes
+        # the allowed slack negative and the workers' guard fail.
         monkeypatch.setattr(solver, "TOL_KM", -0.01)
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # a pool on any host
-        network = write(tmp_path / "net.tsv", "".join(f"1\t{u}\t1\n" for u in range(2, 100)))
+        rows = "".join(f"1\t{u}\t1\n{u}\t{u + 1}\t1\n" for u in range(2, 99)) + "1\t99\t1\n"
+        network = write(tmp_path / "net.tsv", rows)
         seeds = write(tmp_path / "seeds.tsv", seeds_line(1, GeoPoint(40.0, -3.0)))
         args = ["infer", str(network), str(seeds), "--out", str(tmp_path / "est.tsv")]
         assert main(args + ["--iterations", "2", "--check-descent", "--threads", "2"]) == 1
         assert (
             "error: node 2: variation rose from 0.000000 to 0.000000 km"
-            " (allowed slack -0.010000 km)"
+            " (allowed slack -0.020000 km)"
         ) in capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert _workers._CONTEXT is None
@@ -440,8 +442,8 @@ class TestInfer:
         assert main(args + ["--threads", "1", "--iterations", "1"]) == 0
         assert capsys.readouterr().out.startswith("# format:")
         assert report.read_text(encoding="utf-8").splitlines() == [
-            "iteration,newly_located,located_total",
-            "1,1,3",
+            "iteration,newly_located,located_total,proposed",
+            "1,1,3,1",
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.tsv", "r.csv", "seeds.tsv"]
 
@@ -614,6 +616,19 @@ class TestEvalCommand:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--iterations", "7"), ("--threads", "1")])
+    def test_solver_flags_without_sweep_fail_before_any_input_is_read(
+        self, tmp_path, capsys, flag, value
+    ):
+        absent = str(tmp_path / "absent.tsv")
+        out_dir = tmp_path / "r"
+        code = main(["eval", absent, absent, "--out-dir", str(out_dir), flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --iterations and --threads are read only with --sweep\n"
+        )
+        assert not out_dir.exists()
+
     def test_bad_sweep_value_names_the_flag(self, tmp_path, exact_fixture, capsys):
         estimates, truth = exact_fixture
         out_dir = tmp_path / "r"
@@ -776,7 +791,7 @@ class TestManifests:
             "sweep": None,
             "network": None,
             "train_seeds": None,
-            "iterations": solver.DEFAULT_ITERATIONS,
+            "iterations": None,
         }
         assert set(manifest["inputs"]) == {str(files["estimates"]), str(files["truth"])}
 

@@ -10,12 +10,13 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from tvgeo.geodesy import GeoPoint, destination, geodesic_distance
-from tvgeo import _workers, solver
+from tvgeo import _workers, robust_stats, solver
 from tvgeo.graph import SocialNetwork
 from tvgeo.ground_truth import seed_points
 from tvgeo.robust_stats import WeightedPointSet
@@ -32,7 +33,7 @@ from tvgeo.solver import (
 )
 from tvgeo.synth import SynthConfig, generate
 
-from oracles import grid_search_median, weighted_distance_sum
+from oracles import grid_search_median, infer_every_candidate, weighted_distance_sum
 
 P = GeoPoint(40.0, -3.0)
 Q = destination(P, 90.0, 5000.0)  # far across the map
@@ -65,6 +66,69 @@ def random_city_fixture(rng, n_users=60, n_seeds=8, radius_km=20.0):
     net = SocialNetwork.from_edges([(u, v, rng.randint(1, 4)) for u, v in sorted(edges)])
     seeds = {u: truth[u] for u in rng.sample(sorted(truth), n_seeds)}
     return net, seeds
+
+
+WORLD_CITIES = (
+    GeoPoint(52.5, 13.4),
+    GeoPoint(40.7, -74.0),
+    GeoPoint(-33.9, 151.2),
+    GeoPoint(35.7, 139.7),
+    GeoPoint(-23.5, -46.6),
+    GeoPoint(1.3, 103.8),
+)
+SEED_HUB = 0  # worldwide_fixture's hub tied only to seeds
+OUTSIDE_SEED = 10**6  # worldwide_fixture's seed outside the network
+CHAIN = 8  # worldwide_fixture's chain length, longer than the default rounds
+
+
+def worldwide_fixture(rng, users_per_city=30, seeds_per_city=3, hubs=4):
+    """Cities on five continents, hubs tied to two users in every city (sets
+    that span more than a hemisphere, so their medians fall to the medoid and
+    some re-updates fail the descent guard), SEED_HUB tied to one seed in
+    every city, a chain of CHAIN nodes off one seed, and OUTSIDE_SEED."""
+    edges = {}
+    seeds = {OUTSIDE_SEED: GeoPoint(0.0, 0.0)}
+    cities = []
+    for center in WORLD_CITIES:
+        members = range(len(cities) * users_per_city + 1, (len(cities) + 1) * users_per_city + 1)
+        cities.append(members)
+        for u in members[:seeds_per_city]:
+            seeds[u] = destination(center, rng.uniform(0, 360), 20.0 * math.sqrt(rng.random()))
+        for u in members:
+            for v in rng.sample(members, 3):
+                if u != v:
+                    edges[min(u, v), max(u, v)] = rng.randint(1, 4)
+    user = cities[-1][-1]
+    for _ in range(hubs):
+        user += 1
+        for members in cities:
+            for v in rng.sample(members, 2):
+                edges[v, user] = rng.randint(1, 4)
+    for members in cities:
+        edges[SEED_HUB, members[0]] = rng.randint(1, 4)
+    previous = cities[0][0]
+    for _ in range(CHAIN):
+        user += 1
+        edges[previous, user] = 1
+        previous = user
+    net = SocialNetwork.from_edges((u, v, w) for (u, v), w in sorted(edges.items()))
+    return net, seeds
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every process pool built while the test runs."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestSolverConfig:
@@ -262,13 +326,14 @@ class TestInfer:
         net, seeds = random_city_fixture(rng)
         infer(net, seeds, SolverConfig(iterations=4), check_descent=True)
 
-    def test_descent_assertion_passes_with_worker_processes(self, monkeypatch):
-        # The check runs in the workers; 120 users keep the round above the
-        # serial cut-off.
+    def test_descent_assertion_passes_with_worker_processes(self, monkeypatch, pool_sizes):
+        # The check runs in the workers; 120 users wake enough nodes in
+        # rounds 2-4 to keep them above the serial cut-off.
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # workers on any host
         rng = random.Random(408)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
         infer(net, seeds, SolverConfig(iterations=4), threads=2, check_descent=True)
+        assert 2 in pool_sizes
 
     def test_worker_pool_is_gone_after_return(self, monkeypatch):
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 4)  # workers on any host
@@ -278,20 +343,11 @@ class TestInfer:
         assert multiprocessing.active_children() == []
         assert _workers._CONTEXT is None
 
-    def test_worker_pool_is_capped_at_usable_cpus(self, monkeypatch):
-        import concurrent.futures
-
-        pool_sizes = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pool_sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_worker_pool_is_capped_at_usable_cpus(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
         rng = random.Random(410)
-        net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
+        # 40 seeds wake over 64 nodes in each round: neither round is serial.
+        net, seeds = random_city_fixture(rng, n_users=200, n_seeds=40)
         capped, _ = infer(net, seeds, SolverConfig(iterations=2), threads=16)
         serial, _ = infer(net, seeds, SolverConfig(iterations=2))
         assert pool_sizes == [2, 2]
@@ -318,7 +374,8 @@ class TestInfer:
         monkeypatch.setattr(solver, "node_update", failing_update)
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 4)  # workers on any host
         rng = random.Random(410)
-        net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
+        # 40 seeds wake over 64 nodes in round 1: it is not serial.
+        net, seeds = random_city_fixture(rng, n_users=200, n_seeds=40)
         with pytest.raises(RuntimeError) as raised:
             infer(net, seeds, SolverConfig(iterations=2), threads=4)
         assert raised.value.args[0] != os.getpid()  # raised in a worker
@@ -437,6 +494,92 @@ class TestInfer:
         state, _ = infer(net, {1: P, 3: P}, SolverConfig(iterations=2))
         assert state.located[1].dispersion_km == 0.0
         assert state.located[3].dispersion_km == 0.0
+
+
+def synth_fixture():
+    result = generate(SynthConfig(
+        num_cities=4, users_per_city=60, city_radius_km=15.0, intra_edge_mean_degree=5.0,
+        inter_edge_fraction=0.05, seed_fraction=0.1, rng_seed=17,
+    ))
+    return result.network, seed_points(result.seeds)
+
+
+ORACLE_FIXTURES = {
+    "synth": synth_fixture,
+    "worldwide": lambda: worldwide_fixture(random.Random(411)),
+}
+
+
+class TestActiveSet:
+    """infer runs node_update only on the nodes that a neighbor's accepted
+    update woke; infer_every_candidate (tests/oracles.py) runs it on every
+    non-seed node in every round. Their outputs must not differ."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("gamma", [100.0, math.inf])
+    @pytest.mark.parametrize("fixture", sorted(ORACLE_FIXTURES))
+    def test_matches_the_every_candidate_oracle(self, monkeypatch, fixture, gamma, threads):
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # workers on any host
+        net, seeds = ORACLE_FIXTURES[fixture]()
+        cfg = SolverConfig(gamma_km=gamma)
+        state, stats = infer(net, seeds, cfg, threads=threads, check_descent=True)
+        want, want_stats = infer_every_candidate(
+            net, seeds, cfg, threads=threads, check_descent=True
+        )
+        assert estimates_text(state) == estimates_text(want)
+        assert [(s.iteration, s.newly_located, s.located_total) for s in stats] == want_stats
+        candidates = sum(1 for u in net.nodes() if u not in seeds)
+        assert sum(s.proposed for s in stats) < cfg.iterations * candidates
+
+    @pytest.mark.parametrize("fixture", sorted(ORACLE_FIXTURES))
+    def test_oracle_fixtures_hold_every_decision(self, monkeypatch, fixture):
+        # Run the oracle, which sees every decision, and sort each update.
+        net, seeds = ORACLE_FIXTURES[fixture]()
+        decisions = Counter()
+        real_update, real_medoid = solver.node_update, robust_stats._medoid
+
+        def sorting_update(i, state, network, cfg, check_descent=False):
+            update = real_update(i, state, network, cfg, check_descent)
+            if update is not None:
+                decisions["accepted"] += 1
+            elif not solver._located_neighbors(i, state.located, network)[0]:
+                decisions["no located neighbor"] += 1
+            elif real_update(i, state, network, SolverConfig(gamma_km=math.inf)) is not None:
+                decisions["gamma-rejected"] += 1
+            elif cfg.gamma_km == math.inf:
+                decisions["guard-rejected"] += 1
+            return update
+
+        def counted_medoid(*args):
+            decisions["medoid"] += 1
+            return real_medoid(*args)
+
+        monkeypatch.setattr(solver, "node_update", sorting_update)
+        monkeypatch.setattr(robust_stats, "_medoid", counted_medoid)
+        for gamma in (100.0, math.inf):
+            infer_every_candidate(net, seeds, SolverConfig(gamma_km=gamma))
+        kinds = ("accepted", "no located neighbor", "gamma-rejected", "guard-rejected", "medoid")
+        assert all(decisions[kind] > 0 for kind in kinds), decisions
+        if fixture == "worldwide":
+            assert OUTSIDE_SEED not in net
+            state, _ = infer(net, seeds, SolverConfig())
+            assert max(net.nodes()) not in state.located  # the chain's far end
+
+    @pytest.mark.parametrize("gamma", [100.0, math.inf])
+    def test_a_hub_tied_only_to_seeds_proposes_once(self, monkeypatch, gamma):
+        calls = Counter()
+        real = solver.node_update
+
+        def counted(i, *args):
+            calls[i] += 1
+            return real(i, *args)
+
+        monkeypatch.setattr(solver, "node_update", counted)
+        net, seeds = worldwide_fixture(random.Random(411))
+        state, _ = infer(net, seeds, SolverConfig(gamma_km=gamma))
+        assert calls[SEED_HUB] == 1
+        # Accepted at gamma inf, rejected by the worldwide dispersion at 100.
+        assert (SEED_HUB in state.located) == (gamma == math.inf)
 
 
 class TestEstimateFiles:
