@@ -26,15 +26,15 @@ check_descent on, both variations are equal, so the check cannot fire. If
 that run was rejected, i's entry is unchanged and the rejection repeats.
 The wake rule keys on accepted updates, not on comparing points, which
 GeoPoint equality would get wrong for -0.0 == 0.0. The woken set is built
-from the accepted nodes' rows and dropped after the round: nothing is
-cached.
+from the accepted nodes' rows and dropped before the round's map: nothing
+is cached.
 
 A round is one map of node_update over the woken nodes (_workers.fork_map),
 serial or, with threads=N > 1, in forked worker processes. One pool is
 forked per round, after that round's frozen snapshot is in place: the
 snapshot, the network and the config reach the workers at fork, so no input
 is serialized, and the parent applies the per-node results, which come back
-in proposal order, as it does the serial results. It applies them in place,
+in network order, as it does the serial results. It applies them in place,
 into the dict the round's snapshot holds: fork_map returns only once every
 result is back and the pool is closed (or the serial list is complete), so
 no worker and no later node of the round can still read the snapshot, and
