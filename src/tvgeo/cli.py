@@ -52,7 +52,6 @@ from .ground_truth import (
 from .solver import (
     DEFAULT_GAMMA_KM,
     DEFAULT_ITERATIONS,
-    DescentViolation,
     SolverConfig,
     infer,
     read_estimates_file,
@@ -67,7 +66,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, DescentViolation) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenExecutor:
@@ -110,11 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     _add_threads(p, _workers.usable_cpus())
     p.add_argument("--report", type=Path, help="per-iteration counts CSV (default: OUT.report.csv)")
-    p.add_argument(
-        "--check-descent",
-        action="store_true",
-        help="assert the per-node descent invariant on every accepted update",
-    )
     _add_output(p, "estimates")
     p.set_defaults(func=cmd_infer)
 
@@ -191,6 +185,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_seed(args: argparse.Namespace) -> int:
     if args.gps is None and args.profiles is None:
         raise ValueError("at least one of --gps/--profiles is required")
+    if args.profiles is None and (args.gazetteer is not None or args.now is not None):
+        raise ValueError("--gazetteer and --now are read only with --profiles")
     if args.profiles is not None and args.gazetteer is None:
         raise ValueError("--gazetteer is required when --profiles is given")
     if args.profiles is not None and args.now is None:
@@ -230,9 +226,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     cfg = SolverConfig(gamma_km=args.gamma, iterations=args.iterations)
-    state, stats = infer(
-        network, seeds, cfg, threads=args.threads, check_descent=args.check_descent
-    )
+    state, stats = infer(network, seeds, cfg, threads=args.threads)
     outputs = {args.out: lambda fh: write_estimates_file(state, fh)}
     report = args.report or (args.out and Path(f"{args.out}.report.csv"))
     if report:

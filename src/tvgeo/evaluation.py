@@ -20,9 +20,9 @@ from .solver import EstimateState, LocationEstimate, SolverConfig, infer
 class IterationRow:
     iteration: int
     located: int  # cumulative located test users through this iteration
-    newly_located: int
-    median_error_km: float  # over users located by <= iteration; NaN when none
-    median_error_new_km: float  # over users first located here; NaN when none
+    newly_located: int  # > 0: a round that locates no test user has no row
+    median_error_km: float  # over users located by <= iteration
+    median_error_new_km: float  # over users first located here
 
 
 @dataclass(frozen=True)
@@ -102,29 +102,24 @@ def evaluate(estimates: EstimateState, test: Mapping[int, GeoPoint]) -> EvalRepo
         error = geodesic_distance(estimate.point, truth)
         errors_by_iteration.setdefault(estimate.first_located_iteration, []).append(error)
 
-    all_errors = [e for k in sorted(errors_by_iteration) for e in errors_by_iteration[k]]
-    coverage = len(all_errors) / len(test) if test else 0.0
-    median_error = float(_scalar_median(all_errors)) if all_errors else math.nan
-    mean_error = fmean(all_errors) if all_errors else math.nan
-
+    # One row per round that located a test user, in round order.
     rows: list[IterationRow] = []
-    if errors_by_iteration:
-        cumulative: list[float] = []
-        # The first round has errors; a round without any keeps the last median.
-        for k in range(min(errors_by_iteration), max(errors_by_iteration) + 1):
-            new = errors_by_iteration.get(k, [])
-            if new:
-                cumulative.extend(new)
-                cumulative_median = float(_scalar_median(cumulative))
-            rows.append(
-                IterationRow(
-                    iteration=k,
-                    located=len(cumulative),
-                    newly_located=len(new),
-                    median_error_km=cumulative_median,
-                    median_error_new_km=float(_scalar_median(new)) if new else math.nan,
-                )
+    errors: list[float] = []
+    for k in sorted(errors_by_iteration):
+        new = errors_by_iteration[k]
+        errors.extend(new)
+        rows.append(
+            IterationRow(
+                iteration=k,
+                located=len(errors),
+                newly_located=len(new),
+                median_error_km=float(_scalar_median(errors)),
+                median_error_new_km=float(_scalar_median(new)),
             )
+        )
+    coverage = len(errors) / len(test) if test else 0.0
+    median_error = rows[-1].median_error_km if rows else math.nan
+    mean_error = fmean(errors) if errors else math.nan
     return EvalReport(coverage, median_error, mean_error, tuple(rows))
 
 

@@ -21,9 +21,8 @@ neighbor points as the last time it ran (if it never ran, it has no located
 neighbor and would return None), so re-running it would reproduce that
 run's candidate c and dispersion d. If that run was accepted, i's point is
 c, and geodesic_distance(c, c) is exactly 0.0, which is not > TOL_KM (this
-needs TOL_KM >= 0): the update would rewrite an equal estimate, and with
-check_descent on, both variations are equal, so the check cannot fire. If
-that run was rejected, i's entry is unchanged and the rejection repeats.
+needs TOL_KM >= 0): the update would rewrite an equal estimate. If that
+run was rejected, i's entry is unchanged and the rejection repeats.
 The wake rule keys on accepted updates, not on comparing points, which
 GeoPoint equality would get wrong for -0.0 == 0.0. The woken set is built
 from the accepted nodes' rows and dropped before the round's map: nothing
@@ -43,9 +42,7 @@ at any worker count, and it saves a copy of the located dict per round.
 Each update walks its node's neighbors once, reading the row slices from
 the network's compressed rows (SocialNetwork._row), never building
 (neighbor, weight) pairs in the hot loop; the descent guard's
-previous-point variation reuses that walk's points and weights. The
-optional descent check runs in node_update and costs one more variation sum
-per located node that moved within the median tolerance.
+previous-point variation reuses that walk's points and weights.
 """
 
 from __future__ import annotations
@@ -113,11 +110,6 @@ def write_iteration_stats_csv(stats: Iterable[IterationStats], fh: TextIO) -> No
     _tsv.write_csv(fh, [f.name for f in fields(IterationStats)], stats)
 
 
-class DescentViolation(RuntimeError):
-    """An accepted update increased a node's variation beyond the median
-    solver tolerance (debug instrumentation)."""
-
-
 def nodal_variation(
     i: int, candidate: GeoPoint, state: EstimateState, network: SocialNetwork
 ) -> float | None:
@@ -134,14 +126,13 @@ def node_update(
     state: EstimateState,
     network: SocialNetwork,
     cfg: SolverConfig,
-    check_descent: bool = False,
 ) -> tuple[GeoPoint, float] | None:
     """Candidate location and dispersion for non-seed node i against the
     iteration-k snapshot, or None when i has no located neighbors, the
     candidate's dispersion exceeds gamma, or the candidate would increase the
     variation of a located i. It walks i's neighbors once: the median, the
-    candidate's and the previous point's variations and the descent slack
-    all read that walk's points and weights. check_descent: as for infer."""
+    candidate's and the previous point's variations read that walk's points
+    and weights."""
     located = state.located
     points, weights = _located_neighbors(i, located, network)
     if not points:
@@ -157,25 +148,18 @@ def node_update(
     if previous is None:
         return candidate, disp
     moved = geodesic_distance(previous.point, candidate) > TOL_KM
-    if not (moved or check_descent):
-        # A move within the median tolerance satisfies the descent bound by
-        # the 1-Lipschitz property; check_descent verifies that claim.
+    if not moved:
+        # A move within the median tolerance raises the variation by at most
+        # TOL_KM times the located weight (each distance is 1-Lipschitz).
         return candidate, disp
     # Both variations in nodal_variation's order, from the one walk above.
     variation = _weighted_sum(weights, distances)
     old_variation = _weighted_sum(weights, [geodesic_distance(previous.point, p) for p in points])
-    if moved and variation > old_variation:
+    if variation > old_variation:
         # Hemisphere-spanning neighbor sets make the median fall back to the
         # medoid, which can regress past the refined previous location; a
         # non-improving candidate is a no-update.
         return None
-    if check_descent:
-        slack = TOL_KM * sum(weights)
-        if variation > old_variation + slack:
-            raise DescentViolation(
-                f"node {i}: variation rose from {old_variation:.6f} to "
-                f"{variation:.6f} km (allowed slack {slack:.6f} km)"
-            )
     return candidate, disp
 
 
@@ -185,7 +169,6 @@ def infer(
     cfg: SolverConfig | None = None,
     *,
     threads: int = 1,
-    check_descent: bool = False,
 ) -> tuple[EstimateState, list[IterationStats]]:
     """Run the bulk-synchronous solver for cfg.iterations rounds.
 
@@ -193,9 +176,7 @@ def infer(
     accepted updates (the seeds, for round 1), in network order; the module
     docstring shows why every other node's update would change nothing.
     Seeds are fixed for all rounds and may be absent from the network
-    (isolated seeds pass through to the output unchanged). check_descent
-    raises DescentViolation if an accepted re-update fails the per-node
-    descent bound.
+    (isolated seeds pass through to the output unchanged).
     """
     cfg = cfg or SolverConfig()
     located: dict[int, LocationEstimate] = {
@@ -210,7 +191,7 @@ def infer(
         proposers = _woken(candidates, accepted, network)
         accepted = []
         snapshot = EstimateState(located, k - 1)
-        context = (snapshot, network, cfg, check_descent)
+        context = (snapshot, network, cfg)
         results = _workers.fork_map(node_update, proposers, context, threads)
 
         # Every update of the round is in hand, so the snapshot is no longer

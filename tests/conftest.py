@@ -1,8 +1,9 @@
 """Shared fixtures, including the committed synthetic benchmark.
 
 The benchmark (50 cities x 400 users, 15 km radius, 10% seeds, pinned rng
-seed) is generated once per session; the solver fixture runs it once with the
-descent assertion enabled and both results are reused across test modules.
+seed) is generated once per session; the solver fixture runs it once under
+the descent verifier (oracles.descent_checked) and both results are reused
+across test modules.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import time
 
 import pytest
 
+from tvgeo import solver
 from tvgeo.ground_truth import seed_points
 from tvgeo.solver import SolverConfig, infer, write_estimates_file
 from tvgeo.synth import SynthConfig, generate, write_synth_files
+
+from oracles import descent_checked
 
 BENCHMARK_CONFIG = SynthConfig(
     num_cities=50,
@@ -42,18 +46,15 @@ def benchmark_files(tmp_path_factory, benchmark_result):
 
 @pytest.fixture(scope="session")
 def benchmark_run(benchmark_result):
-    """One full solver run over the benchmark (threads=4, descent assertions
-    on). Returns (state, stats, estimates_text, elapsed_seconds)."""
+    """One full solver run over the benchmark (threads=4), with every accepted
+    re-update checked by descent_checked, in the workers too. Returns (state,
+    stats, estimates_text, elapsed_seconds)."""
     seeds = seed_points(benchmark_result.seeds)
-    started = time.perf_counter()
-    state, stats = infer(
-        benchmark_result.network,
-        seeds,
-        BENCHMARK_SOLVER,
-        threads=4,
-        check_descent=True,
-    )
-    elapsed = time.perf_counter() - started
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "node_update", descent_checked(solver.node_update))
+        started = time.perf_counter()
+        state, stats = infer(benchmark_result.network, seeds, BENCHMARK_SOLVER, threads=4)
+        elapsed = time.perf_counter() - started
     buffer = io.StringIO()
     write_estimates_file(state, buffer)
     return state, stats, buffer.getvalue(), elapsed

@@ -16,7 +16,8 @@ package's file readers as they were before _tsv.Columns: one _tsv.Rows loop
 each, parsing every row with the parse_* helpers and parse_point. They are
 the reference that the chunked readers must match in values and in error
 text. infer_every_candidate is the solver's round loop before active-set
-rounds: every non-seed node proposes in every round.
+rounds: every non-seed node proposes in every round. descent_checked wraps
+node_update with the per-node descent bound, recomputed from scratch.
 """
 
 from __future__ import annotations
@@ -391,7 +392,7 @@ def row_read_estimates_file(path):
 # --- every-candidate solver ---------------------------------------------------
 
 
-def infer_every_candidate(network, seeds, cfg, *, threads=1, check_descent=False):
+def infer_every_candidate(network, seeds, cfg, *, threads=1):
     """solver.infer with every non-seed node proposing in every round, as it
     was before only the woken nodes proposed. Returns the final state and one
     (iteration, newly_located, located_total) triple per round."""
@@ -407,7 +408,7 @@ def infer_every_candidate(network, seeds, cfg, *, threads=1, check_descent=False
     reports = []
     for k in range(1, cfg.iterations + 1):
         snapshot = EstimateState(located, k - 1)
-        context = (snapshot, network, cfg, check_descent)
+        context = (snapshot, network, cfg)
         results = _workers.fork_map(solver.node_update, candidates, context, threads)
 
         newly = 0
@@ -425,3 +426,33 @@ def infer_every_candidate(network, seeds, cfg, *, threads=1, check_descent=False
 
     solver._add_seed_dispersions(located, seeds, network)
     return EstimateState(located, cfg.iterations), reports
+
+
+# --- descent verifier ---------------------------------------------------------
+
+
+def descent_checked(node_update):
+    """node_update, asserting the per-node descent bound on every accepted
+    re-update: the candidate's variation (solver.nodal_variation) exceeds the
+    previous point's by at most TOL_KM times the node's located weight, the
+    bound a move within the median tolerance meets. Patched onto
+    solver.node_update, it runs wherever infer runs the update, in forked
+    workers too, since infer looks node_update up at call time."""
+    from tvgeo import solver
+    from tvgeo.robust_stats import TOL_KM
+
+    def checked(i, state, network, cfg):
+        update = node_update(i, state, network, cfg)
+        previous = state.located.get(i)
+        if update is not None and previous is not None:
+            variation = solver.nodal_variation(i, update[0], state, network)
+            old_variation = solver.nodal_variation(i, previous.point, state, network)
+            slack = TOL_KM * sum(w for v, w in network.neighbors(i) if v in state.located)
+            if variation > old_variation + slack:
+                raise AssertionError(
+                    f"node {i}: variation rose from {old_variation:.6f} to "
+                    f"{variation:.6f} km (allowed slack {slack:.6f} km)"
+                )
+        return update
+
+    return checked

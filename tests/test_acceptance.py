@@ -349,7 +349,9 @@ def test_solver_determinism_across_workers(tmp_path, monkeypatch, benchmark_file
             if work[key] > measured * (1.0 + SERIAL_WORK_MARGIN)
         }
         assert not over, f"serial solve work (count, measured) past its bound: {over}"
-        assert work["solver.node_update"] > 0, "the counting wrappers saw no call"
+        # Work reached through another name would read a lower count and pass.
+        uncounted = [key for key in SERIAL_WORK if work[key] == 0]
+        assert not uncounted, f"the counting wrappers saw no call of {uncounted}"
 
 
 def test_benchmark_accuracy(benchmark_run, benchmark_result, benchmark_test_points):
@@ -461,10 +463,10 @@ def test_label_propagation_equivalence():
 
 
 def test_per_node_descent_on_benchmark(benchmark_run):
-    """The instrumented debug assertion held on every accepted update across
-    the full benchmark run (the fixture runs with check_descent=True and
-    would have raised DescentViolation otherwise)."""
-    with criterion("per-node descent: instrumented benchmark run is clean"):
+    """The per-node descent bound held on every accepted re-update across
+    the full benchmark run (the fixture solves under
+    oracles.descent_checked, which would have raised otherwise)."""
+    with criterion("per-node descent: verified benchmark run is clean"):
         state, stats, _, _ = benchmark_run
         assert state.iteration == 5
         assert [s.iteration for s in stats] == [1, 2, 3, 4, 5]

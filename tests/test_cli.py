@@ -195,6 +195,22 @@ class TestSeed:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gazetteer", "absent-gaz.tsv"], ["--now", "5"]],
+        ids=["gazetteer", "now"],
+    )
+    def test_profile_flags_without_profiles_fail_before_any_input_is_read(
+        self, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "seeds.tsv"
+        code = main(["seed", "--gps", str(tmp_path / "absent.tsv"), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --gazetteer and --now are read only with --profiles\n"
+        )
+        assert not out.exists()
+
     def test_non_finite_now_fails(self, tmp_path, inputs, capsys):
         _, claims, gazetteer = inputs
         out = tmp_path / "seeds.tsv"
@@ -232,15 +248,22 @@ class TestSeed:
         assert main(["seed", "--out", str(tmp_path / "s.tsv")]) == 1
 
     def test_non_finite_parameters_keep_the_manifest_strict_json(self, tmp_path, inputs):
-        gps, _, _ = inputs
+        # --now is read only with --profiles, where it must be finite, so a
+        # non-finite --now never reaches a manifest.
+        gps, claims, gazetteer = inputs
         out = tmp_path / "seeds.tsv"
-        assert main(["seed", "--gps", str(gps), "--now", "nan", "--out", str(out)]) == 0
+        manifest = tmp_path / "seeds.tsv.manifest.json"
+        args = ["seed", "--gps", str(gps), "--profiles", str(claims)]
+        args += ["--gazetteer", str(gazetteer), "--out", str(out)]
+        assert main(args + ["--now", "nan"]) == 1
+        assert not manifest.exists()
+        assert main(args + ["--now", str(NOW)]) == 0
 
         def reject(constant):
             raise AssertionError(f"manifest holds the non-JSON constant {constant}")
 
-        text = (tmp_path / "seeds.tsv.manifest.json").read_text(encoding="utf-8")
-        assert json.loads(text, parse_constant=reject)["parameters"]["now"] == "nan"
+        text = manifest.read_text(encoding="utf-8")
+        assert json.loads(text, parse_constant=reject)["parameters"]["now"] == NOW
 
 
 class TestInfer:
@@ -305,28 +328,6 @@ class TestInfer:
         m1.pop("created_at"), m2.pop("created_at")
         assert m1 == m2
         assert m1["inputs"]  # digests recorded
-
-    def test_descent_violation_is_an_error_not_a_traceback(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # Round 1 locates every leaf at the seed's point. Each leaf is also
-        # tied to the next, so round 2 wakes every leaf, and each re-proposes
-        # its own point: the candidate's variation (0) equals the previous
-        # one. A negative median tolerance, set before the pool forks, makes
-        # the allowed slack negative and the workers' guard fail.
-        monkeypatch.setattr(solver, "TOL_KM", -0.01)
-        monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # a pool on any host
-        rows = "".join(f"1\t{u}\t1\n{u}\t{u + 1}\t1\n" for u in range(2, 99)) + "1\t99\t1\n"
-        network = write(tmp_path / "net.tsv", rows)
-        seeds = write(tmp_path / "seeds.tsv", seeds_line(1, GeoPoint(40.0, -3.0)))
-        args = ["infer", str(network), str(seeds), "--out", str(tmp_path / "est.tsv")]
-        assert main(args + ["--iterations", "2", "--check-descent", "--threads", "2"]) == 1
-        assert (
-            "error: node 2: variation rose from 0.000000 to 0.000000 km"
-            " (allowed slack -0.020000 km)"
-        ) in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
-        assert _workers._CONTEXT is None
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
@@ -719,6 +720,8 @@ class TestManifests:
         return {
             "mentions": write(tmp_path / "mentions.tsv", "1\t2\t5\n2\t1\t2\n"),
             "gps": write(tmp_path / "gps.tsv", gps_rows),
+            "profiles": write(tmp_path / "claims.tsv", f"2\t{NOW - DAY}\tMadrid\n"),
+            "gazetteer": write(tmp_path / "gaz.tsv", "madrid\t40.42\t-3.7\n"),
             "network": write(tmp_path / "net.tsv", "1\t2\t1\n2\t3\t1\n"),
             "seeds": write(tmp_path / "seeds.tsv", seeds_line(1, p)),
             "estimates": write(tmp_path / "est.tsv", f"2\t{p.lat!r}\t{p.lon!r}\t0.5\tinferred\t1\n"),
@@ -735,18 +738,20 @@ class TestManifests:
 
     def test_seed_parameters(self, tmp_path, files):
         out = tmp_path / "out.tsv"
-        assert main(["seed", "--gps", str(files["gps"]), "--now", "nan", "--out", str(out)]) == 0
+        args = ["seed", "--gps", str(files["gps"]), "--profiles", str(files["profiles"])]
+        args += ["--gazetteer", str(files["gazetteer"]), "--now", str(NOW), "--out", str(out)]
+        assert main(args) == 0
         assert _manifest(tmp_path / "out.tsv.manifest.json")["parameters"] == {
             "gps": str(files["gps"]),
-            "profiles": None,
-            "gazetteer": None,
-            "now": "nan",
+            "profiles": str(files["profiles"]),
+            "gazetteer": str(files["gazetteer"]),
+            "now": NOW,
         }
 
     def test_infer_parameters(self, tmp_path, files):
         out = tmp_path / "out.tsv"
         args = ["infer", str(files["network"]), str(files["seeds"]), "--out", str(out)]
-        assert main(args + ["--gamma", "25.5", "--threads", "1", "--check-descent"]) == 0
+        assert main(args + ["--gamma", "25.5", "--threads", "1"]) == 0
         assert _manifest(tmp_path / "out.tsv.manifest.json")["parameters"] == {
             "network": str(files["network"]),
             "seeds": str(files["seeds"]),

@@ -102,19 +102,19 @@ class TestEvaluate:
         assert abs(second.median_error_new_km - 10.0) < 1e-6
 
     def test_iteration_gaps_yield_empty_rows(self):
+        # A round that locates no test user has no row, not an empty one.
         t = {1: HOME, 2: HOME}
         state = state_with(
             [located_at(1, HOME, iteration=1), located_at(2, HOME, iteration=3)]
         )
         report = evaluate(state, t)
-        assert [r.iteration for r in report.per_iteration] == [1, 2, 3]
-        middle = report.per_iteration[1]
-        assert middle.newly_located == 0
-        assert math.isnan(middle.median_error_new_km)
+        assert [r.iteration for r in report.per_iteration] == [1, 3]
+        assert [r.newly_located for r in report.per_iteration] == [1, 1]
+        assert report.per_iteration[1].located == 2
 
     def test_a_gap_of_rounds_takes_no_median(self, monkeypatch):
-        """A round with no newly located test user keeps the cumulative
-        median of the round before it, so a 10,000-round gap costs no sort."""
+        """A round with no newly located test user has no row, so a
+        10,000-round gap costs no sort."""
         calls = []
 
         def counting_median(values):
@@ -129,9 +129,8 @@ class TestEvaluate:
         )
         report = evaluate(state, t)
         assert len(calls) <= 5
-        first, *gap, last = report.per_iteration
-        assert len(gap) == 9_998
-        assert {(r.located, r.median_error_km) for r in gap} == {(3, first.median_error_km)}
+        first, last = report.per_iteration
+        assert (first.iteration, first.located, last.iteration, last.located) == (1, 3, 10_000, 4)
         assert abs(last.median_error_km - 2.5) < 1e-6
 
     def test_order_invariance(self):
@@ -264,6 +263,15 @@ class TestReportFiles:
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "iteration,located,newly_located,median_error_km,median_error_new_km"
         assert len(lines) == 1 + len(report.per_iteration)
+
+    def test_a_distant_round_writes_no_gap_rows(self):
+        # Two test users, and two rows however many rounds lie between them.
+        t = {1: HOME, 2: HOME}
+        state = state_with([located_at(1, HOME, 1), located_at(2, HOME, 300_000)])
+        buffer = io.StringIO()
+        write_per_iteration_csv(evaluate(state, t), buffer)
+        header, *rows = buffer.getvalue().splitlines()
+        assert [row.split(",")[:3] for row in rows] == [["1", "1", "1"], ["300000", "2", "1"]]
 
     def test_sweep_csv_roundtrips_infinity(self):
         result, train, test = small_benchmark()

@@ -33,7 +33,12 @@ from tvgeo.solver import (
 )
 from tvgeo.synth import SynthConfig, generate
 
-from oracles import grid_search_median, infer_every_candidate, weighted_distance_sum
+from oracles import (
+    descent_checked,
+    grid_search_median,
+    infer_every_candidate,
+    weighted_distance_sum,
+)
 
 P = GeoPoint(40.0, -3.0)
 Q = destination(P, 90.0, 5000.0)  # far across the map
@@ -219,7 +224,6 @@ class TestNodeUpdate:
         assert medoid in square
         assert nodal_variation(1, medoid, state, net) > nodal_variation(1, pole, state, net)
         assert node_update(1, state, net, cfg) is None
-        assert node_update(1, state, net, cfg, check_descent=True) is None
         # Located at the medoid itself, the node keeps it.
         assert node_update(1, state_of({1: medoid, **neighbors}), net, cfg) is not None
 
@@ -321,19 +325,44 @@ class TestInfer:
         assert estimates_text(slp_state) == estimates_text(big_state)
         assert slp_stats == inf_stats
 
-    def test_descent_assertion_passes_on_clean_fixture(self):
+    def test_descent_assertion_passes_on_clean_fixture(self, monkeypatch):
+        monkeypatch.setattr(solver, "node_update", descent_checked(solver.node_update))
         rng = random.Random(408)
         net, seeds = random_city_fixture(rng)
-        infer(net, seeds, SolverConfig(iterations=4), check_descent=True)
+        infer(net, seeds, SolverConfig(iterations=4))
 
     def test_descent_assertion_passes_with_worker_processes(self, monkeypatch, pool_sizes):
         # The check runs in the workers; 120 users wake enough nodes in
         # rounds 2-4 to keep them above the serial cut-off.
+        monkeypatch.setattr(solver, "node_update", descent_checked(solver.node_update))
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # workers on any host
         rng = random.Random(408)
         net, seeds = random_city_fixture(rng, n_users=120, n_seeds=12)
-        infer(net, seeds, SolverConfig(iterations=4), threads=2, check_descent=True)
+        infer(net, seeds, SolverConfig(iterations=4), threads=2)
         assert 2 in pool_sizes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_descent_assertion_fails_on_a_violating_update(self, monkeypatch, pool_sizes, threads):
+        # Round 1 locates every leaf of seed 1's star at the seed. Each leaf
+        # is also tied to the next, so round 2 wakes all 98 leaves, above
+        # the serial cut-off, and the stub sends every located one 5,000 km
+        # away from its neighbors.
+        real_update = solver.node_update
+
+        def far_update(i, state, network, cfg):
+            update = real_update(i, state, network, cfg)
+            return (Q, 0.0) if i in state.located else update
+
+        monkeypatch.setattr(solver, "node_update", descent_checked(far_update))
+        monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # workers on any host
+        net = SocialNetwork.from_edges(
+            edge for u in range(2, 100) for edge in ((1, u, 1), (u, u + 1, 1))
+        )
+        with pytest.raises(AssertionError, match=r"^node 2: variation rose from 0\.000000 to "):
+            infer(net, {1: P}, SolverConfig(iterations=2), threads=threads)
+        assert pool_sizes == ([2, 2] if threads == 2 else [])  # raised in a worker at 2
+        assert multiprocessing.active_children() == []
+        assert _workers._CONTEXT is None
 
     def test_worker_pool_is_gone_after_return(self, monkeypatch):
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 4)  # workers on any host
@@ -451,8 +480,7 @@ class TestInfer:
             os.kill(pid, signal.SIGKILL)
         assert leaked == []
 
-    @pytest.mark.parametrize("check_descent", [False, True])
-    def test_each_update_walks_its_neighbors_once(self, monkeypatch, check_descent):
+    def test_each_update_walks_its_neighbors_once(self, monkeypatch):
         # One walk per node_update call and one per seed for its final
         # dispersion; the descent guard reuses the update's walk.
         result = generate(SynthConfig(
@@ -470,7 +498,7 @@ class TestInfer:
 
         for name in calls:
             monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
-        infer(result.network, seeds, SolverConfig(), check_descent=check_descent)
+        infer(result.network, seeds, SolverConfig())
         assert calls["node_update"] > len(seeds) > 0
         assert calls["_located_neighbors"] == calls["node_update"] + len(seeds)
         assert calls["nodal_variation"] == 0
@@ -519,13 +547,12 @@ class TestActiveSet:
     @pytest.mark.parametrize("gamma", [100.0, math.inf])
     @pytest.mark.parametrize("fixture", sorted(ORACLE_FIXTURES))
     def test_matches_the_every_candidate_oracle(self, monkeypatch, fixture, gamma, threads):
+        monkeypatch.setattr(solver, "node_update", descent_checked(solver.node_update))
         monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # workers on any host
         net, seeds = ORACLE_FIXTURES[fixture]()
         cfg = SolverConfig(gamma_km=gamma)
-        state, stats = infer(net, seeds, cfg, threads=threads, check_descent=True)
-        want, want_stats = infer_every_candidate(
-            net, seeds, cfg, threads=threads, check_descent=True
-        )
+        state, stats = infer(net, seeds, cfg, threads=threads)
+        want, want_stats = infer_every_candidate(net, seeds, cfg, threads=threads)
         assert estimates_text(state) == estimates_text(want)
         assert [(s.iteration, s.newly_located, s.located_total) for s in stats] == want_stats
         candidates = sum(1 for u in net.nodes() if u not in seeds)
@@ -538,8 +565,8 @@ class TestActiveSet:
         decisions = Counter()
         real_update, real_medoid = solver.node_update, robust_stats._medoid
 
-        def sorting_update(i, state, network, cfg, check_descent=False):
-            update = real_update(i, state, network, cfg, check_descent)
+        def sorting_update(i, state, network, cfg):
+            update = real_update(i, state, network, cfg)
             if update is not None:
                 decisions["accepted"] += 1
             elif not solver._located_neighbors(i, state.located, network)[0]:
